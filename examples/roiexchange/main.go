@@ -1,7 +1,8 @@
 // ROI exchange: demonstrates the paper's networking story (§IV-G) with a
-// real TCP transport. A serving vehicle shares region-of-interest
-// extracts of its frame; the client compares the three ROI categories'
-// payloads against DSRC capacity, then fuses the full frame and detects.
+// real TCP transport. Two vehicles share a fleet hub session — the
+// paper's 1:1 exchange: the transmitter publishes its frame, the client
+// compares the three ROI categories' payloads against DSRC capacity,
+// then requests a one-sender round, fuses the full frame and detects.
 package main
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"cooper"
 	"cooper/internal/core"
+	"cooper/internal/hub"
 	"cooper/internal/network"
 	"cooper/internal/roi"
 )
@@ -24,13 +26,27 @@ func main() {
 	rx.Sense(world.Targets(), world.GroundZ)
 	tx.Sense(world.Targets(), world.GroundZ)
 
-	// The transmitter serves frames over TCP on an ephemeral local port.
+	// An in-process hub on an ephemeral local port; the transmitter
+	// publishes its full frame to it.
+	h := hub.New(hub.Config{})
 	listener, err := network.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer listener.Close()
-	go serve(tx, listener)
+	go h.Serve(listener)
+	defer h.Close()
+	txSession, _, err := hub.Connect(listener.Addr(), tx.ID, tx.State())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer txSession.Close()
+	pkg, err := tx.PreparePackage(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := txSession.Publish(pkg.State, pkg.Payload); err != nil {
+		log.Fatal(err)
+	}
 
 	// Compare the three ROI categories' payloads (Figs. 11–12).
 	channel := network.DefaultDSRC()
@@ -45,19 +61,21 @@ func main() {
 			cat, sched.MbitPerSecond(), channel.DataRateMbps, sched.FitsChannel(channel))
 	}
 
-	// Fetch the full frame over the wire and fuse.
-	conn, err := network.Dial(listener.Addr())
+	// Fetch the full frame over the wire — an uncapped one-sender round
+	// serves the published bytes unchanged — and fuse.
+	rxSession, _, err := hub.Connect(listener.Addr(), rx.ID, rx.State())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer conn.Close()
-	if err := conn.Send(network.Message{Type: network.MsgROIRequest, Sender: rx.ID, State: rx.State()}); err != nil {
-		log.Fatal(err)
-	}
-	reply, err := conn.Receive()
+	defer rxSession.Close()
+	frames, err := rxSession.RequestRound(rx.State(), 1, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(frames) != 1 {
+		log.Fatalf("round carried %d frames, want 1", len(frames))
+	}
+	reply := frames[0]
 	fmt.Printf("\nreceived %d KB over TCP; transmit time on DSRC would be %v\n",
 		len(reply.Payload)/1024, channel.TransmitTime(len(reply.Payload)).Round(1e6))
 
@@ -79,27 +97,4 @@ func makeVehicle(sc *cooper.Scenario, pose int) *cooper.Vehicle {
 	return cooper.NewVehicle(sc.PoseLabels[pose], sc.LiDAR, cooper.VehicleState{
 		GPS: p.T, Yaw: p.R.Yaw(), MountHeight: sc.LiDAR.MountHeight,
 	}, sc.Seed+int64(pose)*997)
-}
-
-func serve(v *cooper.Vehicle, l *network.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		func() {
-			defer conn.Close()
-			if _, err := conn.Receive(); err != nil {
-				return
-			}
-			pkg, err := v.PreparePackage(nil)
-			if err != nil {
-				return
-			}
-			_ = conn.Send(network.Message{
-				Type: network.MsgFullScan, Sender: pkg.SenderID,
-				State: pkg.State, Payload: pkg.Payload,
-			})
-		}()
-	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Client is a vehicle's session with a fleet hub: a thin, synchronous
-// protocol-v2 wrapper over the transport. A Client is not safe for
-// concurrent use; each vehicle session owns one.
+// wrapper over the transport. A Client is not safe for concurrent use;
+// each vehicle session owns one.
 type Client struct {
 	conn    *network.Transport
 	id      string
@@ -48,12 +48,19 @@ func Connect(addr, id string, state fusion.VehicleState) (c *Client, peers int, 
 // Close ends the session.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Publish sends one frame (the encoded cloud plus capture state) and
-// waits for the hub's ack, returning how many vehicles the hub now has
-// cached. Successive publishes carry increasing sequence numbers, so the
-// hub's latest-frame cache always converges on the newest frame.
+// Publish sends one frame — the capture state plus any payload the hub
+// accepts: a CPQ1 cloud or a CPF3 feature frame — and waits for the
+// hub's ack, returning how many vehicles the hub now has cached.
+// Successive publishes carry increasing sequence numbers, so the hub's
+// latest-frame cache always converges on the newest frame.
 func (c *Client) Publish(state fusion.VehicleState, payload []byte) (cached int, err error) {
 	c.seq++
+	return c.send(state, payload)
+}
+
+// send puts one MsgFrame at the current sequence number on the wire and
+// waits for its ack.
+func (c *Client) send(state fusion.VehicleState, payload []byte) (cached int, err error) {
 	if err := c.conn.Send(network.Message{
 		Type:    network.MsgFrame,
 		Sender:  c.id,
@@ -75,22 +82,22 @@ func (c *Client) Publish(state fusion.VehicleState, payload []byte) (cached int,
 // 1 makes every publish a keyframe).
 func (c *Client) SetKeyframeInterval(n int) { c.denc.Interval = n }
 
-// PublishDelta publishes one frame on the client's CPD1 delta stream —
-// the protocol-v3 alternative to Publish. The cloud is encoded as a
-// keyframe or a delta against the client's last keyframe (see
-// pointcloud.DeltaEncoder); the hub reconstructs the full frame before
-// caching, so fusion rounds are unaffected by how the frame travelled.
-// If the hub reports missing or stale keyframe state (a hub restart, a
-// lost publish), the client transparently re-sends the frame as a fresh
-// keyframe. wireBytes reports the payload size that actually went on the
-// wire — the v3 bandwidth win over EncodedSizeQuantized.
+// PublishDelta publishes one frame on the client's CPD1 delta stream.
+// The cloud is encoded as a keyframe or a delta against the client's
+// last keyframe (see pointcloud.DeltaEncoder); the hub reconstructs the
+// full frame before caching, so fusion rounds are unaffected by how the
+// frame travelled. If the hub reports missing or stale keyframe state (a
+// hub restart, a lost publish), the client transparently re-sends the
+// frame as a fresh keyframe. wireBytes reports the payload size that
+// actually went on the wire — the delta stream's bandwidth win over
+// EncodedSizeQuantized.
 func (c *Client) PublishDelta(state fusion.VehicleState, cloud *pointcloud.Cloud) (cached, wireBytes int, err error) {
 	c.seq++
 	payload, _, err := c.denc.Encode(cloud, c.seq)
 	if err != nil {
 		return 0, 0, err
 	}
-	cached, err = c.sendDeltaFrame(state, payload)
+	cached, err = c.send(state, payload)
 	if err != nil && strings.Contains(err.Error(), "keyframe") {
 		// The hub could not apply the delta; recover with a keyframe.
 		c.retries++
@@ -98,7 +105,7 @@ func (c *Client) PublishDelta(state fusion.VehicleState, cloud *pointcloud.Cloud
 		if payload, _, err = c.denc.Encode(cloud, c.seq); err != nil {
 			return 0, 0, err
 		}
-		cached, err = c.sendDeltaFrame(state, payload)
+		cached, err = c.send(state, payload)
 	}
 	if err != nil {
 		return 0, 0, err
@@ -117,57 +124,20 @@ func (c *Client) LastWirePayload() []byte { return c.lastWire }
 // report's and telemetry's keyframe-retry signal.
 func (c *Client) KeyframeRetries() uint64 { return c.retries }
 
-func (c *Client) sendDeltaFrame(state fusion.VehicleState, payload []byte) (cached int, err error) {
-	if err := c.conn.Send(network.Message{
-		Type:    network.MsgDeltaFrame,
-		Sender:  c.id,
-		State:   state,
-		Payload: payload,
-		Seq:     c.seq,
-	}); err != nil {
-		return 0, err
-	}
-	ack, err := c.receive(network.MsgDeltaFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.Count), nil
-}
-
 // RequestRound asks the hub for a fusion round of up to k senders under a
 // bandwidth cap of budgetBps bits/s (0 each for the hub defaults) and
 // collects the announced frames in slot order.
 func (c *Client) RequestRound(state fusion.VehicleState, k int, budgetBps uint64) ([]RoundFrame, error) {
-	return c.requestRound(state, k, budgetBps, network.MsgFuseRequest, network.MsgFrame)
-}
-
-// PublishFeatures sends one CPF3-encoded feature frame and waits for the
-// hub's ack, mirroring Publish's sequence discipline.
-func (c *Client) PublishFeatures(state fusion.VehicleState, payload []byte) (cached int, err error) {
-	c.seq++
-	if err := c.conn.Send(network.Message{
-		Type:    network.MsgFeatureFrame,
-		Sender:  c.id,
-		State:   state,
-		Payload: payload,
-		Seq:     c.seq,
-	}); err != nil {
-		return 0, err
-	}
-	ack, err := c.receive(network.MsgFeatureFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(ack.Count), nil
+	return c.requestRound(state, k, budgetBps, network.MsgFuseRequest)
 }
 
 // RequestFeatureRound is RequestRound at the feature level: every frame
 // arrives as a budget-trimmed CPF3 feature payload.
 func (c *Client) RequestFeatureRound(state fusion.VehicleState, k int, budgetBps uint64) ([]RoundFrame, error) {
-	return c.requestRound(state, k, budgetBps, network.MsgFeatureFuseRequest, network.MsgFeatureFrame)
+	return c.requestRound(state, k, budgetBps, network.MsgFeatureFuseRequest)
 }
 
-func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64, req, frameType network.MsgType) ([]RoundFrame, error) {
+func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64, req network.MsgType) ([]RoundFrame, error) {
 	if err := c.conn.Send(network.Message{
 		Type:   req,
 		Sender: c.id,
@@ -176,7 +146,7 @@ func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64
 		Budget: budgetBps,
 		// The client's own publish sequence is its freshness floor: any
 		// served sender older than the requester's current frame gets
-		// flagged stale on the reply.
+		// flagged stale on its delivered frame.
 		Seq: c.seq,
 	}); err != nil {
 		return nil, err
@@ -185,21 +155,13 @@ func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64
 	if err != nil {
 		return nil, err
 	}
-	// The reply payload is the partial-round marker: stale sender names,
-	// comma-joined. Hubs predating the marker send none.
-	stale := make(map[string]bool)
-	if len(reply.Payload) > 0 {
-		for _, id := range strings.Split(string(reply.Payload), ",") {
-			stale[id] = true
-		}
-	}
 	frames := make([]RoundFrame, 0, reply.Count)
 	for i := uint32(0); i < reply.Count; i++ {
-		m, err := c.receive(frameType)
+		m, err := c.receive(network.MsgFrame)
 		if err != nil {
 			return nil, err
 		}
-		frames = append(frames, RoundFrame{Sender: m.Sender, State: m.State, Payload: m.Payload, Stale: stale[m.Sender]})
+		frames = append(frames, RoundFrame{Sender: m.Sender, State: m.State, Payload: m.Payload, Stale: m.Count != 0})
 	}
 	return frames, nil
 }

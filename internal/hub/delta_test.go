@@ -34,10 +34,10 @@ func frameStream(frames, points int, seed int64) []*pointcloud.Cloud {
 	return out
 }
 
-// TestPublishDeltaCanonicalServing runs a full v3 publish stream over TCP
+// TestPublishDeltaCanonicalServing runs a full CPD1 publish stream over TCP
 // and checks the hub's central invariant: whatever travelled on the delta
 // stream, fusion rounds serve the canonical CPQ1 frame — byte-identical
-// to what a v2 Publish of the same cloud would have cached.
+// to what a CPQ1 Publish of the same cloud would have cached.
 func TestPublishDeltaCanonicalServing(t *testing.T) {
 	_, addr := startHub(t, Config{})
 	pub, _, err := Connect(addr, "v1", stateAt(0, 0))
@@ -118,8 +118,7 @@ func TestPublishDeltaKeyframeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[3])
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, canonical) {
+	if f := nearest(t, h); !bytes.Equal(f.Payload, canonical) {
 		t.Error("cached frame after recovery is not the canonical latest frame")
 	}
 }
@@ -153,8 +152,7 @@ func TestPublishDeltaRejectsGarbage(t *testing.T) {
 		t.Fatalf("delta after rejected garbage: %v", err)
 	}
 	canonical, _ := pointcloud.EncodeQuantized(frames[1])
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, canonical) {
+	if f := nearest(t, h); !bytes.Equal(f.Payload, canonical) {
 		t.Error("cached frame is not the canonical reconstruction")
 	}
 }
@@ -162,7 +160,7 @@ func TestPublishDeltaRejectsGarbage(t *testing.T) {
 // TestConcurrentDeltaPublishWhileDerive hammers the cachedFrame cache
 // from both sides at once — delta publishes replacing frames while
 // requesters force the lazy feature derivation on the frames being
-// replaced. Run with -race this is the data-race check for the v3
+// replaced. Run with -race this is the data-race check for the delta
 // publish path.
 func TestConcurrentDeltaPublishWhileDerive(t *testing.T) {
 	h := New(Config{})

@@ -157,8 +157,7 @@ func TestAssembleFeatureRound(t *testing.T) {
 
 // TestFeatureOnlyPublisherDegradation pins the mixed-fleet contract: a
 // vehicle that publishes only feature frames must still be usable by raw
-// requesters — served as CPF3 instead of erroring — at any budget, and
-// through the v1 nearest-frame path.
+// requesters — served as CPF3 instead of erroring — at any budget.
 func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 	h := New(Config{})
 	featWire := featurePayloadFor(t, 0)
@@ -189,12 +188,6 @@ func TestFeatureOnlyPublisherDegradation(t *testing.T) {
 	}
 	if _, err := spod.DecodeFeatureFrame(tiny.Frames[0].Payload); err != nil {
 		t.Errorf("tiny-budget payload does not decode: %v", err)
-	}
-
-	// The v1 one-shot path degrades the same way.
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !spod.IsFeaturePayload(f.Payload) {
-		t.Errorf("Nearest over a feature-only publisher: ok=%v, feature=%v", ok, spod.IsFeaturePayload(f.Payload))
 	}
 }
 
@@ -253,7 +246,7 @@ func TestFeatureSessionsOverTCP(t *testing.T) {
 	}
 	defer c1.Close()
 	featWire := featurePayloadFor(t, 0)
-	if cached, err := c1.PublishFeatures(stateAt(0, 0), featWire); err != nil || cached != 1 {
+	if cached, err := c1.Publish(stateAt(0, 0), featWire); err != nil || cached != 1 {
 		t.Fatalf("feature publish: cached=%d err=%v", cached, err)
 	}
 

@@ -15,9 +15,12 @@
 // a publisher's feature frame only when that is all the publisher sent or
 // the budget is below the cheapest point rung.
 //
-// The hub speaks protocol v2 (network.MsgHello and friends) to fleet
-// clients and still answers a v1 MsgROIRequest with the nearest cached
-// frame, so the original 1:1 coopernode client keeps working against it.
+// Vehicles talk to the hub over the network package's session protocol:
+// a hello binds the session to the vehicle's name, MsgFrame publishes
+// whatever payload the vehicle encodes (CPQ1, CPF3 or a CPD1 delta
+// stream; Publish tells them apart by magic), and fuse requests answer
+// with a MsgFuseReply plus one MsgFrame per scheduled slot. The paper's
+// 1:1 exchange is the 2-vehicle case of the same session.
 package hub
 
 import (
@@ -88,6 +91,8 @@ type hubMetrics struct {
 	roundBytes     *telemetry.Counter
 	roundStale     *telemetry.Counter
 	roundLatency   *telemetry.Histogram
+
+	sessionRejections *telemetry.Counter
 }
 
 func newHubMetrics(r *telemetry.Registry) hubMetrics {
@@ -104,6 +109,8 @@ func newHubMetrics(r *telemetry.Registry) hubMetrics {
 		roundBytes:     r.Counter("hub_round_payload_bytes_total"),
 		roundStale:     r.Counter("hub_round_stale_senders_total"),
 		roundLatency:   r.Histogram("hub_round_latency_us", roundLatencyBuckets...),
+
+		sessionRejections: r.Counter("hub_session_rejections_total"),
 	}
 }
 
@@ -248,7 +255,7 @@ func (h *Hub) logf(format string, args ...any) {
 // rely on every cached frame being fusable. A CPD1 publish is
 // reconstructed and re-encoded to the canonical CPQ1 form before caching:
 // fusion rounds always serve self-contained full frames, byte-identical
-// to what a v2 publish of the same cloud would have cached. Returns the
+// to what a CPQ1 publish of the same cloud would have cached. Returns the
 // number of vehicles cached after the publish.
 func (h *Hub) Publish(sender string, state fusion.VehicleState, payload []byte, seq uint64) (int, error) {
 	if sender == "" {
@@ -398,7 +405,7 @@ func (h *Hub) AssembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 // whose cached frame's sequence number is below floor are still served —
 // their newest delivered frame beats nothing at all — but named in the
 // round's Stale list so the requester fuses the partial round knowingly.
-// A floor of zero (what pre-floor clients send) flags nothing.
+// A floor of zero (a requester that never published) flags nothing.
 func (h *Hub) AssembleRoundSince(requester string, at geom.Vec3, k int, budgetBps uint64, floor uint64) (Round, error) {
 	return h.assembleRound(requester, at, k, budgetBps, floor, false)
 }
@@ -541,14 +548,4 @@ func (h *Hub) RecentRounds() []RoundInfo {
 	out := make([]RoundInfo, len(h.ring))
 	copy(out, h.ring)
 	return out
-}
-
-// Nearest returns the cached frame closest to the given position,
-// excluding the requester — the hub's answer to a v1 one-shot request.
-func (h *Hub) Nearest(requester string, at geom.Vec3) (RoundFrame, bool) {
-	round, err := h.AssembleRound(requester, at, 1, 0)
-	if err != nil || len(round.Frames) == 0 {
-		return RoundFrame{}, false
-	}
-	return round.Frames[0], true
 }

@@ -159,10 +159,20 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := h.Publish("v1", stateAt(0, 0), older, 3); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := h.Nearest("rx", geom.V3(0, 0, 0))
-	if !ok || !bytes.Equal(f.Payload, newer) {
+	if f := nearest(t, h); !bytes.Equal(f.Payload, newer) {
 		t.Error("stale publish replaced a newer cached frame")
 	}
+}
+
+// nearest returns the frame an uncapped k=1 round serves a requester at
+// the origin.
+func nearest(t *testing.T, h *Hub) RoundFrame {
+	t.Helper()
+	round, err := h.AssembleRound("rx", geom.V3(0, 0, 0), 1, 0)
+	if err != nil || len(round.Frames) != 1 {
+		t.Fatalf("k=1 round: %d frames, err %v", len(round.Frames), err)
+	}
+	return round.Frames[0]
 }
 
 // startHub serves a hub on an ephemeral port and returns its address.
@@ -226,23 +236,6 @@ func TestSessionsOverTCP(t *testing.T) {
 	}
 	if frames[0].Sender != "v2" || !bytes.Equal(frames[0].Payload, p2) {
 		t.Fatalf("round frame from %q (%d B), want v2's %d B frame", frames[0].Sender, len(frames[0].Payload), len(p2))
-	}
-
-	// v1-compat: a bare MsgROIRequest is answered with the nearest frame.
-	conn, err := network.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(network.Message{Type: network.MsgROIRequest, Sender: "legacy", State: stateAt(1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := conn.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != network.MsgFullScan || reply.Sender != "v1" {
-		t.Errorf("v1 reply: type %d from %q, want MsgFullScan from v1", reply.Type, reply.Sender)
 	}
 
 	// An undecodable publish is answered in-band and the session survives.

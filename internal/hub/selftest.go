@@ -261,6 +261,7 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 				return nil, err
 			}
 			state := driftState(v.State(), i, f)
+			var wire []byte
 			if wireV3 {
 				_, sent, err := clients[i].PublishDelta(state, frame.Cloud)
 				if err != nil {
@@ -268,27 +269,20 @@ func SelfTest(w io.Writer, opts SelfTestOptions) error {
 				}
 				wireSent[i] += sent
 				wireFull[i] += pointcloud.EncodedSizeQuantized(frame.Cloud.Len())
-				if pubFrames != nil {
-					pubFrames[i] = store.Frame{Frame: f, Sender: sc.PoseLabels[i],
-						Seq: uint64(f + 1), State: state, Payload: clients[i].LastWirePayload()}
-				}
-				return v, nil
-			}
-			p, err := backend.Encode(frame, nil)
-			if err != nil {
-				return nil, err
-			}
-			if feature {
-				_, err = clients[i].PublishFeatures(state, p.Data)
+				wire = clients[i].LastWirePayload()
 			} else {
-				_, err = clients[i].Publish(state, p.Data)
-			}
-			if err != nil {
-				return nil, err
+				p, err := backend.Encode(frame, nil)
+				if err != nil {
+					return nil, err
+				}
+				if _, err := clients[i].Publish(state, p.Data); err != nil {
+					return nil, err
+				}
+				wire = p.Data
 			}
 			if pubFrames != nil {
 				pubFrames[i] = store.Frame{Frame: f, Sender: sc.PoseLabels[i],
-					Seq: uint64(f + 1), State: state, Payload: p.Data}
+					Seq: uint64(f + 1), State: state, Payload: wire}
 			}
 			return v, nil
 		})

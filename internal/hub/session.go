@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 
 	"cooper/internal/network"
 )
@@ -111,29 +110,44 @@ func (h *Hub) untrack(c *network.Transport) {
 // session is one vehicle's message loop. It exits when the peer
 // disconnects or a protocol error makes the stream unusable.
 func (h *Hub) session(conn *network.Transport) {
-	peer := "?"
+	id := "" // bound by the session's first named hello
 	for {
 		msg, err := conn.Receive()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !h.isClosed() {
-				h.logf("session %s: %v", peer, err)
+				h.logf("session %q: %v", id, err)
 			}
 			return
 		}
-		if msg.Sender != "" {
-			peer = msg.Sender
+		if id == "" && msg.Type == network.MsgHello {
+			id = msg.Sender
 		}
-		if err := h.handle(conn, msg); err != nil {
-			h.logf("session %s: %v", peer, err)
+		if err := h.handle(conn, id, msg); err != nil {
+			h.logf("session %q: %v", id, err)
 			return
 		}
 	}
 }
 
-// handle dispatches one message. A returned error means the session
-// should end; recoverable request errors are answered with MsgError
-// instead.
-func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
+// handle dispatches one message on the session bound to id. A returned
+// error means the session should end; recoverable request errors are
+// answered with MsgError instead. A message before the session's hello,
+// or naming a sender other than the one that said hello, is refused and
+// counted: no session can publish or request as another vehicle.
+func (h *Hub) handle(conn *network.Transport, id string, msg network.Message) error {
+	var reject error
+	switch {
+	case id == "":
+		reject = fmt.Errorf("hub: session must open with a named hello, got type %d", msg.Type)
+	case msg.Sender != id:
+		reject = fmt.Errorf("hub: sender %q on %q's session", msg.Sender, id)
+	}
+	if reject != nil {
+		h.met.sessionRejections.Inc()
+		h.logf("%v", reject)
+		return h.sendError(conn, reject)
+	}
+
 	switch msg.Type {
 	case network.MsgHello:
 		h.logf("hello from %s", msg.Sender)
@@ -143,14 +157,14 @@ func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
 			Count:  uint32(h.Cached()),
 		})
 
-	case network.MsgFrame, network.MsgFeatureFrame, network.MsgDeltaFrame:
+	case network.MsgFrame:
 		cached, err := h.Publish(msg.Sender, msg.State, msg.Payload, msg.Seq)
 		if err != nil {
 			return h.sendError(conn, err)
 		}
 		h.logf("frame from %s (%d B, seq %d); %d vehicle(s) cached", msg.Sender, len(msg.Payload), msg.Seq, cached)
 		return conn.Send(network.Message{
-			Type:   msg.Type,
+			Type:   network.MsgFrame,
 			Sender: hubID,
 			Seq:    msg.Seq,
 			Count:  uint32(cached),
@@ -159,57 +173,38 @@ func (h *Hub) handle(conn *network.Transport, msg network.Message) error {
 	case network.MsgFuseRequest, network.MsgFeatureFuseRequest:
 		feature := msg.Type == network.MsgFeatureFuseRequest
 		// msg.Seq is the requester's freshness floor (its own publish
-		// sequence); pre-floor clients send 0, which flags nothing.
+		// sequence); a requester that never published sends 0, which
+		// flags nothing.
 		round, err := h.assembleRound(msg.Sender, msg.State.GPS, int(msg.Count), msg.Budget, msg.Seq, feature)
 		if err != nil {
 			return h.sendError(conn, err)
 		}
-		seq := round.Seq
 		h.logf("round %d for %s: %d frame(s), %d B, completes in %v, %d stale",
-			seq, msg.Sender, len(round.Frames), round.Plan.TotalBytes(), round.Plan.Completion(), len(round.Stale))
+			round.Seq, msg.Sender, len(round.Frames), round.Plan.TotalBytes(), round.Plan.Completion(), len(round.Stale))
 		if err := conn.Send(network.Message{
 			Type:   network.MsgFuseReply,
 			Sender: hubID,
 			Count:  uint32(len(round.Frames)),
-			Seq:    seq,
-			// The partial-round marker travels in-band on the reply: the
-			// stale senders' names, comma-joined in slot order. Empty for
-			// a fully fresh round; older clients ignore the field.
-			Payload: []byte(strings.Join(round.Stale, ",")),
+			Seq:    round.Seq,
 		}); err != nil {
 			return err
 		}
-		frameType := network.MsgFrame
-		if feature {
-			frameType = network.MsgFeatureFrame
-		}
 		for slot, f := range round.Frames {
-			if err := conn.Send(network.Message{
-				Type:    frameType,
+			m := network.Message{
+				Type:    network.MsgFrame,
 				Sender:  f.Sender,
 				State:   f.State,
 				Payload: f.Payload,
 				Seq:     uint64(slot),
-			}); err != nil {
+			}
+			if f.Stale {
+				m.Count = 1 // the partial-round marker, per frame
+			}
+			if err := conn.Send(m); err != nil {
 				return err
 			}
 		}
 		return nil
-
-	case network.MsgROIRequest:
-		// v1 compatibility: a one-shot client asks for a frame; answer
-		// with the nearest cached vehicle's full payload.
-		f, ok := h.Nearest(msg.Sender, msg.State.GPS)
-		if !ok {
-			return h.sendError(conn, fmt.Errorf("hub: no frames cached"))
-		}
-		h.logf("v1 request from %s: serving %s's frame", msg.Sender, f.Sender)
-		return conn.Send(network.Message{
-			Type:    network.MsgFullScan,
-			Sender:  f.Sender,
-			State:   f.State,
-			Payload: f.Payload,
-		})
 
 	default:
 		return h.sendError(conn, fmt.Errorf("hub: unexpected message type %d", msg.Type))

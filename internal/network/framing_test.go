@@ -6,9 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"cooper/internal/fusion"
-	"cooper/internal/geom"
 )
 
 // receiveRaw feeds raw bytes to a Transport and returns what Receive
@@ -34,7 +31,7 @@ func frame(body []byte) []byte {
 
 func validBody(t *testing.T) []byte {
 	t.Helper()
-	body, err := EncodeMessage(Message{Type: MsgFullScan, Sender: "car1", Payload: []byte{1, 2, 3}})
+	body, err := EncodeMessage(Message{Type: MsgFrame, Sender: "car1", Payload: []byte{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +120,13 @@ func TestFramingErrors(t *testing.T) {
 			want: ErrBadMessage,
 		},
 		{
-			name: "v2 header truncated to v1 size",
+			name: "body truncated before the trailer",
 			raw: func(t *testing.T) []byte {
 				body, err := EncodeMessage(Message{Type: MsgFuseRequest, Sender: "v1", Count: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return frame(body[:len(body)-v2Extra-4])
+				return frame(body[:len(body)-(8+4+8)-4])
 			},
 			want: ErrBadMessage,
 		},
@@ -154,67 +151,7 @@ func TestFramingValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sender != "car1" || m.Type != MsgFullScan {
+	if m.Sender != "car1" || m.Type != MsgFrame {
 		t.Errorf("got %+v", m)
-	}
-}
-
-func TestMessageV2RoundTrip(t *testing.T) {
-	m := Message{
-		Type:   MsgFuseRequest,
-		Sender: "v3",
-		State:  fusion.VehicleState{GPS: geom.V3(1, 2, 0), Yaw: 0.5, MountHeight: 1.7},
-		Budget: 2_000_000,
-		Count:  5,
-		Seq:    42,
-	}
-	enc, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[4] != 2 {
-		t.Fatalf("v2 message encoded with version %d", enc[4])
-	}
-	got, err := DecodeMessage(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Budget != m.Budget || got.Count != m.Count || got.Seq != m.Seq || got.Sender != m.Sender {
-		t.Errorf("round trip: got %+v, want %+v", got, m)
-	}
-
-	// Delta frames ride the v3 wire layout: same framing, version byte 3,
-	// so v2-only peers reject them cleanly instead of misparsing.
-	enc, err = EncodeMessage(Message{
-		Type:    MsgDeltaFrame,
-		Sender:  "v1",
-		Payload: []byte("CPD1-opaque-payload"),
-		Seq:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[4] != 3 {
-		t.Fatalf("delta frame encoded with version %d, want 3", enc[4])
-	}
-	got, err = DecodeMessage(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgDeltaFrame || got.Seq != 7 || string(got.Payload) != "CPD1-opaque-payload" {
-		t.Errorf("delta frame round trip: got %+v", got)
-	}
-
-	// v1 types stay on the v1 wire layout...
-	enc, err = EncodeMessage(Message{Type: MsgFullScan, Sender: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[4] != 1 {
-		t.Errorf("v1 message encoded with version %d", enc[4])
-	}
-	// ...and refuse v2 fields rather than silently dropping them.
-	if _, err := EncodeMessage(Message{Type: MsgFullScan, Sender: "a", Seq: 1}); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("v2 fields on v1 type: err = %v, want ErrBadMessage", err)
 	}
 }

@@ -10,101 +10,64 @@ import (
 	"cooper/internal/geom"
 )
 
-// MsgType tags the Cooper wire messages.
+// MsgType tags the messages of the hub session protocol, the one Cooper
+// exchange protocol: the paper's 1:1 exchange is a 2-vehicle session.
 type MsgType uint8
 
-// Message types: a full-scan share, an ROI share, and the demand-driven
-// ROI request of §II-C (a vehicle that failed to detect in a region asks
-// a neighbour for that region's data).
-const (
-	MsgFullScan MsgType = iota + 1
-	MsgROIShare
-	MsgROIRequest
-)
-
-// Protocol-v2 message types, used by the fleet-hub session protocol. A
-// v2 message carries three extra fixed fields (Budget, Count, Seq) after
-// the v1 header; v1 peers never see these types.
+// Message types. The numbers are fixed wire values.
 const (
 	// MsgHello opens a hub session: the vehicle announces its identity
-	// and GPS/IMU state. The hub acknowledges with its own MsgHello
-	// whose Count reports the number of cached frames.
+	// and GPS/IMU state, and the name it says hello with is the only
+	// Sender the session may use afterwards. The hub acknowledges with
+	// its own MsgHello whose Count reports the number of cached frames.
 	MsgHello MsgType = iota + 16
 	// MsgFrame publishes (client→hub) or delivers (hub→client) one
-	// vehicle frame: sender state plus the encoded cloud. Seq orders a
-	// vehicle's successive frames on publish and carries the broadcast
-	// slot index on delivery. The hub acknowledges a publish with an
-	// empty MsgFrame echoing Seq, Count = frames now cached.
+	// vehicle frame: sender state plus the encoded payload — a CPQ1
+	// cloud, a CPF3 feature frame or a CPD1 delta-stream frame, told
+	// apart by their magic. Seq orders a vehicle's successive frames on
+	// publish and carries the broadcast slot index on delivery. The hub
+	// acknowledges a publish with an empty MsgFrame echoing Seq, Count =
+	// frames now cached. On delivery Count is 1 when the frame is stale:
+	// older than the requester's freshness floor.
 	MsgFrame
 	// MsgFuseRequest asks the hub for a fused round: up to Count sender
 	// frames assembled for the requester, selected nearest-first, with
 	// payloads fitted to the Budget bandwidth cap (bits/s, 0 = none).
+	// Seq is the requester's freshness floor.
 	MsgFuseRequest
 	// MsgFuseReply announces a fusion round: Count MsgFrame messages
-	// follow, one per scheduled sender slot.
+	// follow, one per scheduled sender slot. Seq is the round number.
 	MsgFuseReply
-	// MsgError reports a session error; the text rides in Payload.
+	// MsgError reports a rejected request; the text rides in Payload
+	// and the session continues.
 	MsgError
+	// MsgFeatureFuseRequest is MsgFuseRequest at the feature level
+	// (F-Cooper): every scheduled sender arrives as a CPF3 feature
+	// frame, budget-trimmed by column salience.
+	MsgFeatureFuseRequest MsgType = 25
 )
 
-// Protocol-v3 message types, the feature-level (F-Cooper) extension of
-// the hub session protocol. A v3 message reuses the v2 layout (the
-// Budget/Count/Seq trailer) under version byte 3, so v2 peers reject the
-// version cleanly instead of misparsing the frame.
-const (
-	// MsgFeatureFrame publishes (client→hub) or delivers (hub→client)
-	// one sparse feature frame: sender state plus the CPF3-encoded
-	// post-convolution planes. Seq and the ack discipline mirror
-	// MsgFrame's.
-	MsgFeatureFrame MsgType = iota + 24
-	// MsgFeatureFuseRequest asks the hub for a feature-level fusion
-	// round: like MsgFuseRequest, but every scheduled sender arrives as
-	// a MsgFeatureFrame, budget-trimmed by column salience.
-	MsgFeatureFuseRequest
-	// MsgDeltaFrame publishes (client→hub) one frame of a CPD1 delta
-	// stream: a keyframe, or a delta keyed to the publisher's last
-	// keyframe. The ack discipline mirrors MsgFrame's. A delta the hub
-	// cannot apply (missing or stale keyframe state) is answered with
-	// MsgError naming the keyframe error; the publisher recovers by
-	// re-sending a keyframe. The hub reconstructs and caches canonical
-	// full frames, so fusion rounds always deliver MsgFrame.
-	MsgDeltaFrame
-)
-
-// V2 reports whether the type belongs to the hub session protocol and is
-// therefore framed with the version-2 wire layout.
-func (t MsgType) V2() bool { return t >= MsgHello && t < MsgFeatureFrame }
-
-// V3 reports whether the type belongs to the feature-level extension of
-// the hub protocol, framed with the version-3 wire layout (identical to
-// v2's, under version byte 3).
-func (t MsgType) V3() bool { return t >= MsgFeatureFrame }
+func (t MsgType) valid() bool {
+	return t >= MsgHello && t <= MsgError || t == MsgFeatureFuseRequest
+}
 
 // Message is one Cooper exchange unit on the wire: the sender's identity
-// and GPS/IMU state plus either a point-cloud payload (shares) or a
-// requested region (requests).
+// and GPS/IMU state, the Budget/Count/Seq trailer and an opaque payload.
 type Message struct {
 	Type   MsgType
 	Sender string
 	State  fusion.VehicleState
-	// Payload is the encoded point cloud for share messages.
+	// Payload is the encoded frame, or the text of a MsgError.
 	Payload []byte
-	// Region is the requested area for MsgROIRequest, in world
-	// coordinates.
-	Region geom.AABB
-
-	// The fields below exist only in protocol v2 (the hub session
-	// protocol); encoding a v1 message type with any of them set fails.
-
 	// Budget is a bandwidth cap in bits per second (0 = uncapped). A
-	// client advertises it on MsgFuseRequest; the hub fits the round's
+	// client advertises it on a fuse request; the hub fits the round's
 	// payloads under it.
 	Budget uint64
-	// Count is a small cardinality: requested senders on MsgFuseRequest,
-	// following frames on MsgFuseReply, cached frames on acks.
+	// Count is a small cardinality or flag; each type's comment above
+	// gives its meaning.
 	Count uint32
 	// Seq is a sequence number: frame generation on publish, broadcast
-	// slot index on delivery.
+	// slot index on delivery, freshness floor on a fuse request.
 	Seq uint64
 }
 
@@ -120,39 +83,35 @@ const MaxMessageSize = 16 << 20
 
 var messageMagic = [4]byte{'C', 'P', 'M', 'X'}
 
+// wireVersion is the message layout's version byte. Versions 1–3 were
+// earlier layouts; decoding rejects them.
+const wireVersion = 4
+
+// The message layout, little-endian throughout:
+//
+//	magic "CPMX" | version | type | sender length u16 | sender
+//	| 7 × f64 state (GPS x,y,z, yaw, pitch, roll, mount height)
+//	| budget u64 | count u32 | seq u64 | payload length u32 | payload
 const (
-	headerFixed = 4 + 1 + 1 + 2 // magic, version, type, sender length
-	v2Extra     = 8 + 4 + 8     // budget, count, seq
+	headerFixed = 4 + 1 + 1 + 2       // magic, version, type, sender length
+	bodyFixed   = 7*8 + 8 + 4 + 8 + 4 // state, budget, count, seq, payload length
 )
 
-// EncodeMessage serialises a message. The wire version is chosen from the
-// message type: hub-protocol types use version 2 (which appends the
-// Budget/Count/Seq trailer), feature-level types use version 3 (same
-// layout, distinct version byte), everything else stays byte-compatible
-// with version 1.
+// EncodeMessage serialises a message.
 func EncodeMessage(m Message) ([]byte, error) {
-	if len(m.Sender) > 65535 {
+	if !m.Type.valid() {
+		return nil, fmt.Errorf("%w: unknown message type %d", ErrBadMessage, m.Type)
+	}
+	if len(m.Sender) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: sender name too long", ErrBadMessage)
 	}
-	version := byte(1)
-	switch {
-	case m.Type.V3():
-		version = 3
-	case m.Type.V2():
-		version = 2
-	case m.Budget != 0 || m.Count != 0 || m.Seq != 0:
-		return nil, fmt.Errorf("%w: v2 fields set on v1 message type %d", ErrBadMessage, m.Type)
-	}
-	size := headerFixed + len(m.Sender) + 7*8 + 4 + len(m.Payload) + 6*8
-	if version >= 2 {
-		size += v2Extra
-	}
+	size := headerFixed + len(m.Sender) + bodyFixed + len(m.Payload)
 	if size > MaxMessageSize {
 		return nil, ErrTooBig
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, messageMagic[:]...)
-	buf = append(buf, version, byte(m.Type))
+	buf = append(buf, wireVersion, byte(m.Type))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Sender)))
 	buf = append(buf, m.Sender...)
 	for _, f := range []float64{
@@ -161,23 +120,17 @@ func EncodeMessage(m Message) ([]byte, error) {
 	} {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	for _, f := range []float64{
-		m.Region.Min.X, m.Region.Min.Y, m.Region.Min.Z,
-		m.Region.Max.X, m.Region.Max.Y, m.Region.Max.Z,
-	} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	if version >= 2 {
-		buf = binary.LittleEndian.AppendUint64(buf, m.Budget)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Count)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, m.Budget)
+	buf = binary.LittleEndian.AppendUint32(buf, m.Count)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Payload)))
 	buf = append(buf, m.Payload...)
 	return buf, nil
 }
 
-// DecodeMessage parses a serialised message.
+// DecodeMessage parses a serialised message. The encoding is canonical:
+// anything EncodeMessage would not have produced — another version, an
+// unknown type, a short or overlong body — is rejected.
 func DecodeMessage(data []byte) (Message, error) {
 	var m Message
 	if len(data) < headerFixed {
@@ -186,18 +139,16 @@ func DecodeMessage(data []byte) (Message, error) {
 	if [4]byte(data[:4]) != messageMagic {
 		return m, fmt.Errorf("%w: bad magic", ErrBadMessage)
 	}
-	version := data[4]
-	if version < 1 || version > 3 {
-		return m, fmt.Errorf("%w: unsupported version %d", ErrBadMessage, version)
+	if data[4] != wireVersion {
+		return m, fmt.Errorf("%w: unsupported version %d", ErrBadMessage, data[4])
 	}
 	m.Type = MsgType(data[5])
+	if !m.Type.valid() {
+		return m, fmt.Errorf("%w: unknown message type %d", ErrBadMessage, m.Type)
+	}
 	senderLen := int(binary.LittleEndian.Uint16(data[6:]))
 	off := headerFixed
-	fixed := senderLen + 13*8 + 4
-	if version >= 2 {
-		fixed += v2Extra
-	}
-	if len(data) < off+fixed {
+	if len(data) < off+senderLen+bodyFixed {
 		return m, fmt.Errorf("%w: truncated", ErrBadMessage)
 	}
 	m.Sender = string(data[off : off+senderLen])
@@ -210,23 +161,18 @@ func DecodeMessage(data []byte) (Message, error) {
 	m.State.GPS = geom.V3(read(), read(), read())
 	m.State.Yaw, m.State.Pitch, m.State.Roll = read(), read(), read()
 	m.State.MountHeight = read()
-	m.Region.Min = geom.V3(read(), read(), read())
-	m.Region.Max = geom.V3(read(), read(), read())
-	if version >= 2 {
-		m.Budget = binary.LittleEndian.Uint64(data[off:])
-		m.Count = binary.LittleEndian.Uint32(data[off+8:])
-		m.Seq = binary.LittleEndian.Uint64(data[off+12:])
-		off += v2Extra
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
+	m.Budget = binary.LittleEndian.Uint64(data[off:])
+	m.Count = binary.LittleEndian.Uint32(data[off+8:])
+	m.Seq = binary.LittleEndian.Uint64(data[off+12:])
+	payloadLen := int(binary.LittleEndian.Uint32(data[off+20:]))
+	off += 24
 	if payloadLen > MaxMessageSize {
 		return m, ErrTooBig
 	}
-	if len(data) < off+payloadLen {
-		return m, fmt.Errorf("%w: truncated payload", ErrBadMessage)
+	if len(data)-off != payloadLen {
+		return m, fmt.Errorf("%w: payload length %d, %d bytes follow", ErrBadMessage, payloadLen, len(data)-off)
 	}
 	m.Payload = make([]byte, payloadLen)
-	copy(m.Payload, data[off:off+payloadLen])
+	copy(m.Payload, data[off:])
 	return m, nil
 }

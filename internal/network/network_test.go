@@ -41,7 +41,7 @@ func TestDSRCUtilization(t *testing.T) {
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := Message{
-		Type:   MsgFullScan,
+		Type:   MsgFuseRequest,
 		Sender: "car1",
 		State: fusion.VehicleState{
 			GPS: geom.V3(12.5, -3.25, 0.5),
@@ -49,45 +49,54 @@ func TestMessageRoundTrip(t *testing.T) {
 			MountHeight: 1.73,
 		},
 		Payload: []byte{1, 2, 3, 4, 5},
+		Budget:  2_000_000,
+		Count:   5,
+		Seq:     42,
 	}
 	enc, err := EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if enc[4] != wireVersion {
+		t.Errorf("encoded with version %d, want %d", enc[4], wireVersion)
+	}
 	got, err := DecodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != m.Type || got.Sender != m.Sender {
-		t.Errorf("identity fields differ: %+v", got)
-	}
-	if got.State != m.State {
-		t.Errorf("state = %+v, want %+v", got.State, m.State)
-	}
-	if string(got.Payload) != string(m.Payload) {
-		t.Errorf("payload differs")
+	if !sameMessage(got, m) {
+		t.Errorf("round trip: got %+v, want %+v", got, m)
 	}
 }
 
-func TestMessageRequestRegion(t *testing.T) {
-	m := Message{
-		Type:   MsgROIRequest,
-		Sender: "car2",
-		Region: geom.NewAABB(geom.V3(10, -5, 0), geom.V3(20, 5, 3)),
-	}
-	enc, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMessage(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Region != m.Region {
-		t.Errorf("region = %+v, want %+v", got.Region, m.Region)
-	}
-	if len(got.Payload) != 0 {
-		t.Errorf("request should carry no payload")
+// TestMessageV2RoundTrip checks the Budget/Count/Seq trailer that the
+// retired version 2 introduced: every message type now carries it on the
+// one wire layout, so delta-stream frames and the fuse requests travel
+// under the same version byte as everything else.
+func TestMessageV2RoundTrip(t *testing.T) {
+	st := fusion.VehicleState{GPS: geom.V3(1, 2, 0), Yaw: 0.5, MountHeight: 1.7}
+	for _, m := range []Message{
+		{Type: MsgHello, Sender: "v1", State: st, Count: 3},
+		{Type: MsgFrame, Sender: "v1", State: st, Payload: []byte("CPD1-opaque-payload"), Seq: 7},
+		{Type: MsgFuseRequest, Sender: "v3", State: st, Budget: 2_000_000, Count: 5, Seq: 42},
+		{Type: MsgFeatureFuseRequest, Sender: "v3", State: st, Budget: 500_000, Count: 2, Seq: 9},
+		{Type: MsgFuseReply, Sender: "hub", Count: 4, Seq: 11},
+		{Type: MsgError, Sender: "hub", Payload: []byte("no such sender")},
+	} {
+		enc, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("type %d: %v", m.Type, err)
+		}
+		if enc[4] != wireVersion {
+			t.Errorf("type %d encoded with version %d, want %d", m.Type, enc[4], wireVersion)
+		}
+		got, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatalf("type %d: %v", m.Type, err)
+		}
+		if !sameMessage(got, m) {
+			t.Errorf("type %d round trip: got %+v, want %+v", m.Type, got, m)
+		}
 	}
 }
 
@@ -98,15 +107,27 @@ func TestDecodeMessageErrors(t *testing.T) {
 	if _, err := DecodeMessage([]byte("XXXXXXXXXX")); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("garbage: %v", err)
 	}
-	good, _ := EncodeMessage(Message{Type: MsgFullScan, Sender: "a", Payload: make([]byte, 100)})
+	good, _ := EncodeMessage(Message{Type: MsgFrame, Sender: "a", Payload: make([]byte, 100)})
 	if _, err := DecodeMessage(good[:40]); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("truncated: %v", err)
+	}
+	if _, err := DecodeMessage(append(good, 0)); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("trailing byte: %v", err)
 	}
 	// Wrong version.
 	bad := append([]byte{}, good...)
 	bad[4] = 9
 	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("bad version: %v", err)
+	}
+	// Unknown type, on either side of the codec.
+	bad = append([]byte{}, good...)
+	bad[5] = 24
+	if _, err := DecodeMessage(bad); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("unknown type: %v", err)
+	}
+	if _, err := EncodeMessage(Message{Type: 1, Sender: "a"}); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("encoding an unknown type: %v", err)
 	}
 }
 
@@ -135,7 +156,7 @@ func TestTransportOverTCP(t *testing.T) {
 			return
 		}
 		// Echo a response back.
-		if err := conn.Send(Message{Type: MsgROIShare, Sender: "server", Payload: msg.Payload}); err != nil {
+		if err := conn.Send(Message{Type: MsgFrame, Sender: "server", Payload: msg.Payload}); err != nil {
 			done <- result{err: err}
 			return
 		}
@@ -152,7 +173,7 @@ func TestTransportOverTCP(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	want := Message{Type: MsgFullScan, Sender: "car1", Payload: payload}
+	want := Message{Type: MsgFrame, Sender: "car1", Payload: payload}
 	if err := client.Send(want); err != nil {
 		t.Fatal(err)
 	}
