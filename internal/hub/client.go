@@ -155,7 +155,13 @@ func (c *Client) requestRound(state fusion.VehicleState, k int, budgetBps uint64
 	if err != nil {
 		return nil, err
 	}
-	frames := make([]RoundFrame, 0, reply.Count)
+	// Count is the hub's claim, not a checked fact: a reply above a
+	// positive k is a protocol violation, and only a Count bounded by k
+	// may size the slice.
+	if k > 0 && reply.Count > uint32(k) {
+		return nil, fmt.Errorf("%w: hub announced %d frames for a round of at most %d", network.ErrBadMessage, reply.Count, k)
+	}
+	frames := make([]RoundFrame, 0, min(reply.Count, uint32(max(k, 0))))
 	for i := uint32(0); i < reply.Count; i++ {
 		m, err := c.receive(network.MsgFrame)
 		if err != nil {

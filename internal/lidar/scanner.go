@@ -71,6 +71,12 @@ func (s *Scanner) Config() Config { return s.cfg }
 // exchange in Cooper.
 func (s *Scanner) ScanFrom(pose geom.Transform, targets []Target, groundZ float64) Scan {
 	origin := pose.Apply(geom.V3(0, 0, s.cfg.MountHeight))
+	return s.scan(pose, origin, targets, newCaster(origin, targets, groundZ, s.cfg.MaxRange).nearestHit)
+}
+
+// scan runs one revolution, casting each world-frame ray direction from
+// origin through cast.
+func (s *Scanner) scan(pose geom.Transform, origin geom.Vec3, targets []Target, cast func(dir geom.Vec3) (float64, int, bool)) Scan {
 	steps := int(2 * math.Pi / s.cfg.AzimuthStep)
 	beams := s.cfg.BeamCount()
 	scan := Scan{
@@ -90,12 +96,12 @@ func (s *Scanner) ScanFrom(pose geom.Transform, targets []Target, groundZ float6
 			for _, el := range s.cfg.BeamElevations {
 				cosEl, sinEl := math.Cos(el), math.Sin(el)
 				dirSensor := geom.Vec3{X: cosEl * cosAz, Y: cosEl * sinAz, Z: sinEl}
-				ray := Ray{Origin: origin, Dir: pose.ApplyDir(dirSensor)}
-				t, idx, ok := nearestHit(ray, targets, groundZ, s.cfg.MaxRange)
+				dirWorld := pose.ApplyDir(dirSensor)
+				t, idx, ok := cast(dirWorld)
 				if !ok {
 					continue
 				}
-				s.applySensorModel(&scan, ray, t, idx, toSensor, targets)
+				s.applySensorModel(&scan, Ray{Origin: origin, Dir: dirWorld}, t, idx, toSensor, targets)
 			}
 		}
 		return scan
@@ -110,7 +116,7 @@ func (s *Scanner) ScanFrom(pose geom.Transform, targets []Target, groundZ float6
 		idx int32
 		ok  bool
 	}
-	cast := make([]rayHit, steps*beams)
+	hits := make([]rayHit, steps*beams)
 	parallel.For(s.workers, steps, func(step int) {
 		az := float64(step) * s.cfg.AzimuthStep
 		cosAz, sinAz := math.Cos(az), math.Sin(az)
@@ -119,18 +125,16 @@ func (s *Scanner) ScanFrom(pose geom.Transform, targets []Target, groundZ float6
 			// Direction in the sensor frame, rotated into the world.
 			dirSensor := geom.Vec3{X: cosEl * cosAz, Y: cosEl * sinAz, Z: sinEl}
 			dirWorld := pose.ApplyDir(dirSensor)
-			ray := Ray{Origin: origin, Dir: dirWorld}
-
-			t, idx, ok := nearestHit(ray, targets, groundZ, s.cfg.MaxRange)
-			cast[step*beams+b] = rayHit{t: t, dir: dirWorld, idx: int32(idx), ok: ok}
+			t, idx, ok := cast(dirWorld)
+			hits[step*beams+b] = rayHit{t: t, dir: dirWorld, idx: int32(idx), ok: ok}
 		}
 	})
 
 	// Phase 2 — sensor model. Dropout, range noise and intensity noise
 	// consume the scanner's RNG in strict (step, beam) order, so the cloud
 	// is byte-identical for any worker count.
-	for i := range cast {
-		h := &cast[i]
+	for i := range hits {
+		h := &hits[i]
 		if !h.ok {
 			continue
 		}

@@ -243,8 +243,12 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 				cp.zs = append(cp.zs, ps.zs[lo:hi]...)
 			}
 		}
-		for _, sub := range splitCluster(cp) {
-			best, ok := d.bestCandidate(sub, groundZ)
+		parts, yaw, split := splitCluster(cp)
+		for _, sub := range parts {
+			if split {
+				yaw = sub.minAreaYaw()
+			}
+			best, ok := d.bestCandidate(sub, yaw, groundZ)
 			if !ok {
 				continue
 			}
@@ -277,7 +281,7 @@ func (d *Detector) backHalf(tensor *SparseTensor, grid *VoxelGrid, nonGround *po
 				continue
 			}
 			union := concatClusters(pool[i].points, pool[j].points)
-			best, ok := d.bestCandidate(union, groundZ)
+			best, ok := d.bestCandidate(union, union.minAreaYaw(), groundZ)
 			if !ok {
 				continue
 			}
@@ -324,11 +328,11 @@ type scoredCandidate struct {
 	score float64
 }
 
-// bestCandidate fits anchors to a cluster and returns the highest-scoring
-// plausible one.
-func (d *Detector) bestCandidate(cp clusterPoints, groundZ float64) (scoredCandidate, bool) {
+// bestCandidate fits anchors at the cluster's closeness-search yaw base
+// and returns the highest-scoring plausible one.
+func (d *Detector) bestCandidate(cp clusterPoints, base, groundZ float64) (scoredCandidate, bool) {
 	best := scoredCandidate{score: -1}
-	for _, cand := range fitCandidates(cp, groundZ, geom.Vec2{}) {
+	for _, cand := range fitCandidates(cp, base, groundZ, geom.Vec2{}) {
 		if cand.stats.rangeXY > d.cfg.MaxDetectionRange {
 			continue
 		}

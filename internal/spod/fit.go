@@ -94,6 +94,20 @@ func (cp clusterPoints) pcaYaw() float64 {
 	return 0.5 * math.Atan2(2*sxy, sxx-syy)
 }
 
+// closenessSteps is the orientation grid of the closeness search: 60
+// steps over [0, π/2), a 1.5° resolution.
+const closenessSteps = 60
+
+// closenessYaws tabulates the closeness search's (yaw, cos, sin) triples
+// once instead of per cluster.
+var closenessYaws = func() (tab [closenessSteps]struct{ yaw, c, s float64 }) {
+	for i := range tab {
+		yaw := float64(i) * (math.Pi / 2) / closenessSteps
+		tab[i].yaw, tab[i].c, tab[i].s = yaw, math.Cos(yaw), math.Sin(yaw)
+	}
+	return tab
+}()
+
 // minAreaYaw searches yaw ∈ [0, π/2) for the rectangle orientation that
 // maximises the closeness criterion of Zhang et al. (ICRA 2017) — the
 // standard L-shape fit for vehicle LiDAR clusters. For each candidate
@@ -101,6 +115,10 @@ func (cp clusterPoints) pcaYaw() float64 {
 // rectangle edge; visible car faces pull the rectangle into alignment,
 // where raw PCA drifts toward the L's diagonal and minimum-area tilts
 // under noise.
+//
+// The loops compare directly rather than through math.Min/math.Max: the
+// coordinates hold no NaNs, and the only place a signed zero could
+// differ is a distance the score clamps up to d0 anyway.
 func (cp clusterPoints) minAreaYaw() float64 {
 	n := cp.len()
 	if n < 2 {
@@ -111,11 +129,9 @@ func (cp clusterPoints) minAreaYaw() float64 {
 	if n > 512 {
 		stride = n / 512
 	}
-	const steps = 60 // 1.5° resolution
 	bestYaw, bestScore := 0.0, math.Inf(-1)
-	for i := 0; i < steps; i++ {
-		yaw := float64(i) * (math.Pi / 2) / steps
-		c1, s1 := math.Cos(yaw), math.Sin(yaw)
+	for _, o := range &closenessYaws {
+		c1, s1 := o.c, o.s
 
 		// First pass: extents along both axes.
 		lo1, hi1 := math.Inf(1), math.Inf(-1)
@@ -123,8 +139,18 @@ func (cp clusterPoints) minAreaYaw() float64 {
 		for j := 0; j < n; j += stride {
 			u := c1*cp.xs[j] + s1*cp.ys[j]
 			v := -s1*cp.xs[j] + c1*cp.ys[j]
-			lo1, hi1 = math.Min(lo1, u), math.Max(hi1, u)
-			lo2, hi2 = math.Min(lo2, v), math.Max(hi2, v)
+			if u < lo1 {
+				lo1 = u
+			}
+			if u > hi1 {
+				hi1 = u
+			}
+			if v < lo2 {
+				lo2 = v
+			}
+			if v > hi2 {
+				hi2 = v
+			}
 		}
 		// Second pass: closeness — reward points hugging an edge.
 		const d0 = 0.05 // saturation distance, metres
@@ -132,15 +158,24 @@ func (cp clusterPoints) minAreaYaw() float64 {
 		for j := 0; j < n; j += stride {
 			u := c1*cp.xs[j] + s1*cp.ys[j]
 			v := -s1*cp.xs[j] + c1*cp.ys[j]
-			d := math.Min(
-				math.Min(u-lo1, hi1-u),
-				math.Min(v-lo2, hi2-v),
-			)
-			score += 1 / math.Max(d, d0)
+			d := u - lo1
+			if e := hi1 - u; e < d {
+				d = e
+			}
+			if e := v - lo2; e < d {
+				d = e
+			}
+			if e := hi2 - v; e < d {
+				d = e
+			}
+			if d < d0 {
+				d = d0
+			}
+			score += 1 / d
 		}
 		if score > bestScore {
 			bestScore = score
-			bestYaw = yaw
+			bestYaw = o.yaw
 		}
 	}
 	return bestYaw
@@ -177,13 +212,13 @@ func (cp clusterPoints) zStats() (float64, float64) {
 // near boundary, the way a partially visible car actually extends away
 // from the viewer.
 //
-// groundZ anchors heights; sensorXY is the observing sensor's ground
-// position (the merge receiver's origin for cooperative clouds).
-func fitCandidates(cp clusterPoints, groundZ float64, sensorXY geom.Vec2) []candidate {
+// base is the cluster's closeness-search yaw (cp.minAreaYaw()); groundZ
+// anchors heights; sensorXY is the observing sensor's ground position
+// (the merge receiver's origin for cooperative clouds).
+func fitCandidates(cp clusterPoints, base, groundZ float64, sensorXY geom.Vec2) []candidate {
 	if cp.len() < 3 {
 		return nil
 	}
-	base := cp.minAreaYaw()
 	zMin, zMax := cp.zStats()
 	out := make([]candidate, 0, 2)
 	for _, yaw := range []float64{base, base + math.Pi/2} {
@@ -290,9 +325,12 @@ func fitAtYaw(cp clusterPoints, yaw, groundZ, zMin, zMax float64, sensorXY geom.
 // splitCluster tiles an oversized cluster along its principal axis into
 // car-length bins and returns the per-bin point subsets. Queued or
 // bumper-to-bumper vehicles form one connected proposal; tiling lets the
-// anchors separate them.
-func splitCluster(cp clusterPoints) []clusterPoints {
-	yaw := cp.minAreaYaw()
+// anchors separate them. base is the closeness-search yaw of cp; when
+// split is false the cluster came back whole and base is exactly what
+// fitting it would search for again.
+func splitCluster(cp clusterPoints) (parts []clusterPoints, base float64, split bool) {
+	base = cp.minAreaYaw()
+	yaw := base
 	if loA, hiA := cp.extents(yaw); true {
 		// Split along whichever fitted axis is longer.
 		if loB, hiB := cp.extents(yaw + math.Pi/2); (hiB - loB) > (hiA - loA) {
@@ -302,11 +340,11 @@ func splitCluster(cp clusterPoints) []clusterPoints {
 	lo, hi := cp.extents(yaw)
 	extent := hi - lo
 	if extent <= anchorLength*1.3 {
-		return []clusterPoints{cp}
+		return []clusterPoints{cp}, base, false
 	}
 	bins := int(math.Ceil(extent / (anchorLength * 1.15)))
 	if bins < 2 {
-		return []clusterPoints{cp}
+		return []clusterPoints{cp}, base, false
 	}
 	binW := extent / float64(bins)
 	out := make([]clusterPoints, bins)
@@ -327,7 +365,7 @@ func splitCluster(cp clusterPoints) []clusterPoints {
 			kept = append(kept, b)
 		}
 	}
-	return kept
+	return kept, base, true
 }
 
 // centroidDistBEV returns the ground-plane distance between two clusters'

@@ -203,7 +203,7 @@ func TestSplitClusterSeparatesQueue(t *testing.T) {
 		cp.ys = append(cp.ys, rng.Float64()*1.6)
 		cp.zs = append(cp.zs, rng.Float64())
 	}
-	subs := splitCluster(cp)
+	subs, _, _ := splitCluster(cp)
 	if len(subs) < 2 {
 		t.Errorf("9 m cluster split into %d pieces, want ≥ 2", len(subs))
 	}
@@ -217,7 +217,7 @@ func TestSplitClusterKeepsSingleCar(t *testing.T) {
 		cp.ys = append(cp.ys, rng.Float64()*1.6)
 		cp.zs = append(cp.zs, rng.Float64())
 	}
-	if subs := splitCluster(cp); len(subs) != 1 {
+	if subs, _, split := splitCluster(cp); len(subs) != 1 || split {
 		t.Errorf("single car split into %d pieces", len(subs))
 	}
 }
