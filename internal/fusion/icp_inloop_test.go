@@ -7,6 +7,7 @@ import (
 
 	"cooper/internal/geom"
 	"cooper/internal/pointcloud"
+	"cooper/internal/spod"
 )
 
 // inLoopFuse runs the raw backend over one sender payload with and
@@ -165,4 +166,24 @@ func TestInLoopICPEmptySender(t *testing.T) {
 		VehicleState{MountHeight: 1.7}, VehicleState{GPS: geom.V3(8, 0, 0), MountHeight: 1.7})
 	assertFinite(t, corrected)
 	assertIdenticalClouds(t, plain, corrected)
+}
+
+// TestInLoopICPNaNPoint fuses a raw float32 (CPC1) payload carrying one
+// NaN point — the decoder accepts any float32 — through the in-loop
+// correction stage and then the cooperative detector. Ground estimation
+// must skip the NaN height on both sides instead of panicking.
+func TestInLoopICPNaNPoint(t *testing.T) {
+	sender := structuredCloud(52)
+	sender.AppendXYZR(1, 2, math.NaN(), 0.5)
+	sendState := VehicleState{GPS: geom.V3(6, 0.2, 0), Yaw: 0.02, MountHeight: 1.7}
+	payloads := []Payload{{State: sendState, Data: pointcloud.EncodeRaw(sender)}}
+	receiver := SensorFrame{State: VehicleState{MountHeight: 1.7}, Cloud: structuredCloud(51)}
+	in, err := RawBackend{UseICP: true}.Fuse(receiver, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.ICPCorrections) != 1 || math.IsNaN(in.ICPCorrections[0]) {
+		t.Fatalf("ICP corrections = %v, want one finite correction", in.ICPCorrections)
+	}
+	in.Detect(spod.DefaultConfig(), nil)
 }

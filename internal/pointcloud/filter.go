@@ -93,7 +93,9 @@ func (c *Cloud) EstimateGroundZ() float64 {
 	hist := make([]int, nBins)
 	counted := 0
 	for _, p := range c.pts {
-		if p.Z < lo || p.Z >= hi {
+		// Written as a negated in-range test so NaN heights are skipped
+		// instead of reaching the bin index.
+		if !(p.Z >= lo && p.Z < hi) {
 			continue
 		}
 		hist[int((p.Z-lo)/binSize)]++

@@ -107,3 +107,20 @@ func TestFilterDoesNotMutate(t *testing.T) {
 		t.Error("Filter mutated the receiver")
 	}
 }
+
+// TestEstimateGroundZSkipsNaN feeds a NaN height through the histogram:
+// the range test must reject it rather than index a bin with it.
+func TestEstimateGroundZSkipsNaN(t *testing.T) {
+	c := New(101)
+	for i := 0; i < 100; i++ {
+		c.AppendXYZR(float64(i), 0, -1.7, 0.3)
+	}
+	want := c.EstimateGroundZ()
+	c.AppendXYZR(1, 1, math.NaN(), 0.3)
+	if got := c.EstimateGroundZ(); got != want {
+		t.Errorf("EstimateGroundZ with a NaN point = %v, want %v", got, want)
+	}
+	if got := FromPoints([]Point{{Z: math.NaN()}}).EstimateGroundZ(); got != 0 {
+		t.Errorf("all-NaN EstimateGroundZ = %v, want 0", got)
+	}
+}

@@ -9,9 +9,17 @@ import (
 // GridIndex is a uniform-grid spatial index over a cloud, supporting
 // radius queries. The clustering detector baseline and the ICP refinement
 // both use it to avoid quadratic neighbour scans.
+//
+// Cells are stored compressed: a voxel table numbers the occupied cells,
+// and a counting sort over those numbers lays the points out cell by
+// cell (CSR), each cell's points in ascending cloud index. The points are
+// copied in that cell order, so a cell scan reads contiguous memory.
 type GridIndex struct {
 	cellSize float64
-	cells    map[VoxelKey][]int
+	cells    voxelTable
+	start    []int32     // cell slot s holds entries start[s] to start[s+1]
+	ids      []int32     // cloud index of each entry
+	pos      []geom.Vec3 // position of each entry
 	cloud    *Cloud
 }
 
@@ -21,16 +29,46 @@ func NewGridIndex(c *Cloud, cellSize float64) *GridIndex {
 	if cellSize <= 0 {
 		cellSize = 1
 	}
-	idx := &GridIndex{
-		cellSize: cellSize,
-		cells:    make(map[VoxelKey][]int, c.Len()/4+1),
-		cloud:    c,
-	}
+	n := c.Len()
+	idx := &GridIndex{cellSize: cellSize, cells: newVoxelTable(n), cloud: c}
+	slotOf := make([]int32, n)
 	for i, p := range c.pts {
-		k := KeyFor(p.X, p.Y, p.Z, cellSize)
-		idx.cells[k] = append(idx.cells[k], i)
+		slotOf[i] = idx.cells.insert(KeyFor(p.X, p.Y, p.Z, cellSize))
+	}
+	// Counting sort: count per cell, prefix-sum to each cell's end, then
+	// place points backwards so every cell keeps ascending cloud order
+	// and start[s] ends at the cell's first entry.
+	idx.start = make([]int32, idx.cells.len()+1)
+	for _, s := range slotOf {
+		idx.start[s]++
+	}
+	for s := 1; s < len(idx.start); s++ {
+		idx.start[s] += idx.start[s-1]
+	}
+	idx.ids = make([]int32, n)
+	idx.pos = make([]geom.Vec3, n)
+	for i := n - 1; i >= 0; i-- {
+		s := slotOf[i]
+		idx.start[s]--
+		j := idx.start[s]
+		idx.ids[j] = int32(i)
+		p := c.pts[i]
+		idx.pos[j] = geom.Vec3{X: p.X, Y: p.Y, Z: p.Z}
 	}
 	return idx
+}
+
+// cell returns the entry range of the cell at integer coordinates
+// (x, y, z); coordinates outside the int32 key range hold no points.
+func (g *GridIndex) cell(x, y, z int64) (lo, hi int32) {
+	if x != int64(int32(x)) || y != int64(int32(y)) || z != int64(int32(z)) {
+		return 0, 0
+	}
+	s := g.cells.lookup(VoxelKey{int32(x), int32(y), int32(z)})
+	if s < 0 {
+		return 0, 0
+	}
+	return g.start[s], g.start[s+1]
 }
 
 // Radius returns the indices of all points within r of q.
@@ -40,16 +78,18 @@ func (g *GridIndex) Radius(q geom.Vec3, r float64) []int {
 	}
 	var out []int
 	r2 := r * r
+	// int64 counters: a key at the int32 limit must not wrap the loops.
 	lo := KeyFor(q.X-r, q.Y-r, q.Z-r, g.cellSize)
 	hi := KeyFor(q.X+r, q.Y+r, q.Z+r, g.cellSize)
-	for x := lo.X; x <= hi.X; x++ {
-		for y := lo.Y; y <= hi.Y; y++ {
-			for z := lo.Z; z <= hi.Z; z++ {
-				for _, i := range g.cells[VoxelKey{x, y, z}] {
-					p := g.cloud.pts[i]
+	for x := int64(lo.X); x <= int64(hi.X); x++ {
+		for y := int64(lo.Y); y <= int64(hi.Y); y++ {
+			for z := int64(lo.Z); z <= int64(hi.Z); z++ {
+				from, to := g.cell(x, y, z)
+				for j := from; j < to; j++ {
+					p := g.pos[j]
 					dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
 					if dx*dx+dy*dy+dz*dz <= r2 {
-						out = append(out, i)
+						out = append(out, int(g.ids[j]))
 					}
 				}
 			}
@@ -93,45 +133,54 @@ func (g *GridIndex) nearest(q geom.Vec3, maxRings int32) (int, float64) {
 		return -1, math.Inf(1)
 	}
 	center := KeyFor(q.X, q.Y, q.Z, g.cellSize)
-	best := -1
+	cx, cy, cz := int64(center.X), int64(center.Y), int64(center.Z)
+	best := int32(-1)
 	bestD2 := math.Inf(1)
 
-	scanRing := func(ring int32) {
-		for x := center.X - ring; x <= center.X+ring; x++ {
-			for y := center.Y - ring; y <= center.Y+ring; y++ {
-				for z := center.Z - ring; z <= center.Z+ring; z++ {
-					onShell := x == center.X-ring || x == center.X+ring ||
-						y == center.Y-ring || y == center.Y+ring ||
-						z == center.Z-ring || z == center.Z+ring
-					if ring > 0 && !onShell {
-						continue
+	// Ring cells are visited x, then y, then z ascending, and a cell's
+	// points in cloud order, so the strict < keeps the first of equally
+	// close points. Counters are int64 so a centre at the int32 key limit
+	// cannot wrap the loops.
+	scanCell := func(x, y, z int64) {
+		from, to := g.cell(x, y, z)
+		for j := from; j < to; j++ {
+			p := g.pos[j]
+			dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
+			d2 := dx*dx + dy*dy + dz*dz
+			if d2 < bestD2 {
+				bestD2 = d2
+				best = g.ids[j]
+			}
+		}
+	}
+	scanRing := func(ring int64) {
+		for x := cx - ring; x <= cx+ring; x++ {
+			for y := cy - ring; y <= cy+ring; y++ {
+				if x == cx-ring || x == cx+ring || y == cy-ring || y == cy+ring {
+					for z := cz - ring; z <= cz+ring; z++ {
+						scanCell(x, y, z)
 					}
-					for _, i := range g.cells[VoxelKey{x, y, z}] {
-						p := g.cloud.pts[i]
-						dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-						d2 := dx*dx + dy*dy + dz*dz
-						if d2 < bestD2 {
-							bestD2 = d2
-							best = i
-						}
-					}
+					continue
 				}
+				// Off the x and y faces only the two z faces are on the shell.
+				scanCell(x, y, cz-ring)
+				scanCell(x, y, cz+ring)
 			}
 		}
 	}
 
 	foundAt := int32(-1)
 	for ring := int32(0); ring < maxRings; ring++ {
-		scanRing(ring)
+		scanRing(int64(ring))
 		if best >= 0 {
 			foundAt = ring
 			break
 		}
 	}
 	if foundAt >= 0 && foundAt+1 < maxRings {
-		scanRing(foundAt + 1)
+		scanRing(int64(foundAt) + 1)
 	}
-	return best, math.Sqrt(bestD2)
+	return int(best), math.Sqrt(bestD2)
 }
 
 // Cloud returns the indexed cloud.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"cooper/internal/geom"
 )
@@ -145,4 +146,55 @@ func TestGridIndexZeroRadius(t *testing.T) {
 	if got := idx.Radius(geom.V3(0, 0, 0), 0); got != nil {
 		t.Errorf("zero radius returned %v", got)
 	}
+}
+
+// withDeadline runs f in a goroutine and fails the test if it has not
+// returned within a few seconds, so a looping query fails instead of
+// hanging the suite.
+func withDeadline(t *testing.T, name string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", name)
+	}
+}
+
+// TestGridIndexQueryAtInt32KeyLimit queries next to the largest cell key.
+// A sender point aligned far from the receiver lands there, and the scan
+// loops must stop at the key limit instead of wrapping round it.
+func TestGridIndexQueryAtInt32KeyLimit(t *testing.T) {
+	edge := float64(math.MaxInt32) + 0.5
+	c := FromPoints([]Point{{X: 0}, {X: 1}, {X: edge, Y: 0.25}, {X: -edge}})
+	idx := NewGridIndex(c, 1)
+	withDeadline(t, "NearestWithin at +limit", func() {
+		if i, _ := idx.NearestWithin(geom.V3(edge, 0, 0), 1); i != 2 {
+			t.Errorf("NearestWithin at +limit = %d, want 2", i)
+		}
+	})
+	withDeadline(t, "NearestWithin at -limit", func() {
+		if i, _ := idx.NearestWithin(geom.V3(-edge, 0, 0), 1); i != 3 {
+			t.Errorf("NearestWithin at -limit = %d, want 3", i)
+		}
+	})
+	withDeadline(t, "Nearest at +limit", func() {
+		if i, _ := idx.Nearest(geom.V3(edge, 0, 0)); i != 2 {
+			t.Errorf("Nearest at +limit = %d, want 2", i)
+		}
+	})
+	withDeadline(t, "Radius at +limit", func() {
+		if got := idx.Radius(geom.V3(edge, 0, 0), 0.4); len(got) != 1 || got[0] != 2 {
+			t.Errorf("Radius at +limit = %v, want [2]", got)
+		}
+	})
+	withDeadline(t, "Radius at -limit", func() {
+		if got := idx.Radius(geom.V3(-edge, 0, 0), 0.4); len(got) != 1 || got[0] != 3 {
+			t.Errorf("Radius at -limit = %v, want [3]", got)
+		}
+	})
 }

@@ -29,48 +29,49 @@ func (c *Cloud) VoxelDownsample(voxelSize float64) *Cloud {
 }
 
 // VoxelDownsampleInto is VoxelDownsample writing into dst (reset first),
-// so a reused destination amortises the output allocation. The output is
-// deterministic regardless of destination reuse: voxels appear in
-// first-point order and each accumulates its centroid in cloud point
-// order — the map below only assigns slot numbers and is never iterated.
+// so a reused destination amortises the output allocation; dst may be c.
+// The output is deterministic regardless of destination reuse: voxels
+// appear in first-point order and each accumulates its centroid in cloud
+// point order — the voxel table only assigns slot numbers and is never
+// iterated.
 func (c *Cloud) VoxelDownsampleInto(dst *Cloud, voxelSize float64) *Cloud {
 	if voxelSize <= 0 || c.Len() == 0 {
 		src := c.pts
 		dst.pts = append(dst.pts[:0], src...)
 		return dst
 	}
-	type acc struct {
-		x, y, z, r float64
-		n          int
+	slots := newVoxelTable(c.Len())
+	slotOf := make([]int32, c.Len())
+	for i, p := range c.pts {
+		slotOf[i] = slots.insert(KeyFor(p.X, p.Y, p.Z, voxelSize))
 	}
-	slot := make(map[VoxelKey]int32, c.Len()/2+1)
-	accs := make([]acc, 0, c.Len()/2+1)
-	for _, p := range c.pts {
-		k := KeyFor(p.X, p.Y, p.Z, voxelSize)
-		si, ok := slot[k]
-		if !ok {
-			si = int32(len(accs))
-			accs = append(accs, acc{})
-			slot[k] = si
-		}
-		a := &accs[si]
-		a.x += p.X
-		a.y += p.Y
-		a.z += p.Z
-		a.r += p.Reflectance
-		a.n++
+	// Sum each voxel straight into its output point, then scale by the
+	// count. Downsampling in place sums into a fresh slice, since the
+	// output would overwrite points not yet read.
+	sums := dst.pts[:0]
+	if dst == c {
+		sums = nil
 	}
-	dst.pts = dst.pts[:0]
-	for i := range accs {
-		a := &accs[i]
-		inv := 1 / float64(a.n)
-		dst.pts = append(dst.pts, Point{
-			X:           a.x * inv,
-			Y:           a.y * inv,
-			Z:           a.z * inv,
-			Reflectance: a.r * inv,
-		})
+	sums = append(sums, make([]Point, slots.len())...)
+	counts := make([]int32, slots.len())
+	for i, p := range c.pts {
+		s := slotOf[i]
+		a := &sums[s]
+		a.X += p.X
+		a.Y += p.Y
+		a.Z += p.Z
+		a.Reflectance += p.Reflectance
+		counts[s]++
 	}
+	for i := range sums {
+		a := &sums[i]
+		inv := 1 / float64(counts[i])
+		a.X *= inv
+		a.Y *= inv
+		a.Z *= inv
+		a.Reflectance *= inv
+	}
+	dst.pts = sums
 	return dst
 }
 
@@ -81,9 +82,9 @@ func (c *Cloud) VoxelOccupancy(voxelSize float64) int {
 	if voxelSize <= 0 {
 		return c.Len()
 	}
-	seen := make(map[VoxelKey]struct{}, c.Len()/2+1)
+	seen := newVoxelTable(c.Len())
 	for _, p := range c.pts {
-		seen[KeyFor(p.X, p.Y, p.Z, voxelSize)] = struct{}{}
+		seen.insert(KeyFor(p.X, p.Y, p.Z, voxelSize))
 	}
-	return len(seen)
+	return seen.len()
 }

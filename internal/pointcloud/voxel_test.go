@@ -85,3 +85,17 @@ func TestVoxelOccupancy(t *testing.T) {
 		t.Errorf("VoxelOccupancy(0) = %d, want point count", got)
 	}
 }
+
+func TestVoxelDownsampleIntoSelf(t *testing.T) {
+	c := randomCloud(500, 21)
+	want := c.VoxelDownsample(0.5)
+	got := c.VoxelDownsampleInto(c, 0.5)
+	if got != c || got.Len() != want.Len() {
+		t.Fatalf("in-place downsample: %d points, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.At(i) != want.At(i) {
+			t.Fatalf("in-place point %d = %+v, want %+v", i, got.At(i), want.At(i))
+		}
+	}
+}
