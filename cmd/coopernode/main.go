@@ -100,49 +100,39 @@ func run() error {
 			return fmt.Errorf("-loss %g out of range [0,1)", *loss)
 		}
 		opts := hub.SelfTestOptions{
-			Family:        family,
-			Fleet:         *selftest,
-			Seed:          *seed,
-			Traffic:       *traffic,
-			Workers:       *workers,
+			Scene: scene.GenParams{Family: family, Fleet: *selftest, Seed: *seed, Traffic: *traffic},
+			Episode: core.EpisodeOptions{
+				Frames: *frames, Hz: *hz, Workers: *workers, Backend: backend, Wire: *wire,
+				Drift: *drift, Metrics: telemetry.New(),
+			},
 			BandwidthMbps: *bw,
 			MaxSenders:    *k,
-			Frames:        *frames,
-			Hz:            *hz,
-			Backend:       backend,
-			Wire:          *wire,
-			Drift:         *drift,
-			Metrics:       telemetry.New(),
 			HTTPAddr:      *httpAddr,
 			Linger:        *linger,
 		}
 		if *loss > 0 {
-			opts.Loss = network.DefaultLoss(*loss, *seed)
+			opts.Episode.Loss = network.DefaultLoss(*loss, *seed)
 		}
-		if *storePath != "" {
-			headerFamily := family
-			if headerFamily == "" {
-				headerFamily = string(scene.FamilyPlatoon) // hub.SelfTest's default
-			}
-			ew, err := store.CreateEpisode(*storePath, store.Header{
-				Label: "selftest", Scenario: headerFamily, Seed: *seed,
-				Frames: *frames, Hz: *hz, Backend: backend.Name(), Wire: *wire,
-			})
-			if err != nil {
-				return err
-			}
-			opts.Store = ew
-			if err := hub.SelfTest(os.Stdout, opts); err != nil {
-				ew.Close()
-				return err
-			}
-			if err := ew.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("episode log: %s (%d records)\n", *storePath, ew.Records())
-			return nil
+		if *storePath == "" {
+			return hub.SelfTest(os.Stdout, opts)
 		}
-		return hub.SelfTest(os.Stdout, opts)
+		ew, err := store.CreateEpisode(*storePath, store.Header{
+			Label: "selftest", Scenario: string(family), Seed: *seed,
+			Frames: *frames, Hz: *hz, Backend: backend.Name(), Wire: *wire,
+		})
+		if err != nil {
+			return err
+		}
+		opts.Episode.Sink = ew
+		if err := hub.SelfTest(os.Stdout, opts); err != nil {
+			ew.Close()
+			return err
+		}
+		if err := ew.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("episode log: %s (%d records)\n", *storePath, ew.Records())
+		return nil
 	case *hubAddr != "":
 		return runHub(*hubAddr, *httpAddr, *storePath)
 	case *join != "":
@@ -161,15 +151,14 @@ func run() error {
 }
 
 // familyOf resolves the -scenario flag for selftest mode, which only
-// accepts generated families. The untouched flag default falls through
-// to the selftest's own default family; anything else unknown is an
-// error, not a silent fallback.
-func familyOf(name string) (string, error) {
-	if _, ok := scene.ParseFamily(name); ok {
-		return name, nil
+// accepts generated families. The untouched flag default selects
+// platoon; anything else unknown is an error, not a silent fallback.
+func familyOf(name string) (scene.Family, error) {
+	if fam, ok := scene.ParseFamily(name); ok {
+		return fam, nil
 	}
 	if name == defaultScenario {
-		return "", nil // hub.SelfTest defaults to platoon
+		return scene.FamilyPlatoon, nil
 	}
 	return "", fmt.Errorf("-selftest needs a generated family (%v), got %q", scene.Families(), name)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"cooper/internal/parallel"
 	"cooper/internal/pointcloud"
 	"cooper/internal/scene"
-	"cooper/internal/sim"
 	"cooper/internal/spod"
 	"cooper/internal/store"
 	"cooper/internal/telemetry"
@@ -83,6 +81,11 @@ type EpisodeOptions struct {
 	// The caller owns the writer (and wrote its header); Run appends the
 	// records in timeline order and never closes it.
 	Sink *store.EpisodeWriter
+	// Transport carries the senders' frames to the receivers; nil is the
+	// in-process DSRC timeline above (Delay, Loss and the wire shape the
+	// schedule). A transport that delivers payload bytes of its own
+	// cannot be motion-compensated.
+	Transport Transport
 }
 
 // backend resolves the episode's fusion backend.
@@ -136,10 +139,22 @@ type EpisodeFrame struct {
 type EpisodeResult struct {
 	Scenario *scene.Scenario
 	Case     scene.CoopCase
+	// Frames, Temporal and Tracks are the first receiver's outcome — the
+	// case receiver's on the in-process transport.
 	Frames   []EpisodeFrame
 	Temporal eval.TemporalStats
 	// Tracks is the number of live tracks when the episode ended.
 	Tracks int
+	// Receivers holds every receiver's outcome in transport order.
+	Receivers []ReceiverEpisode
+}
+
+// ReceiverEpisode is one receiver's side of an episode.
+type ReceiverEpisode struct {
+	Pose     int
+	Frames   []EpisodeFrame
+	Temporal eval.TemporalStats
+	Tracks   int
 }
 
 // MeanSingleRecall averages the single-shot recall over all frames.
@@ -322,18 +337,18 @@ func (l *EpisodeLab) stateAt(pose geom.Transform) fusion.VehicleState {
 }
 
 // Run plays one episode: Frames fused frames at Hz. Per frame, every
-// vehicle senses the moving world; the senders' frames are broadcast as
-// one DSRC round per frame on the shared channel; and the receiver fuses
-// the newest fully delivered round — stale by the round's transmission
-// time plus Delay, quantised up to its frame grid — with its own fresh
-// cloud, motion-compensating the stale clouds when enabled. Fused
-// detections feed the track layer; ground truth is evaluated at each
-// frame's timestamp.
+// participant senses the moving world; the transport carries the
+// senders' frames to the receivers (by default one DSRC round per frame
+// on the shared channel, so each receiver fuses the newest fully
+// delivered round — stale by the round's transmission time plus Delay,
+// quantised up to its frame grid); and every receiver fuses what arrived
+// with its own fresh cloud, motion-compensating the stale clouds when
+// enabled. Fused detections feed each receiver's track layer; ground
+// truth is evaluated at each frame's timestamp.
 //
-// The timeline is driven on a sim.Clock (broadcast-ready events racing
-// frame-fusion events); per-frame sensing, fusion and detection then fan
-// out over Workers goroutines. Both the per-frame rows and the track
-// metrics are byte-identical at any worker count.
+// Captures, fusion and detection fan out over Workers goroutines. Both
+// the per-frame rows and the track metrics are byte-identical at any
+// worker count.
 func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	sc := l.sc
 	if opts.Frames < 1 {
@@ -346,64 +361,50 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		return nil, fmt.Errorf("core: scenario %s has no cooperative case %d", sc.Name, opts.Case)
 	}
 	c := sc.Cases[opts.Case]
-	receiver := c.Receiver()
-	senders := c.Senders()
-	period := time.Duration(float64(time.Second) / opts.Hz)
-	at := func(k int) time.Duration { return time.Duration(k) * period }
-
-	backend := opts.backend()
-	_, rawBackend := backend.(fusion.RawBackend)
-	wireV3 := false
+	ep := &Episode{
+		lab:      l,
+		opts:     opts,
+		backend:  opts.backend(),
+		det:      spod.New(l.detectorConfig()),
+		period:   time.Duration(float64(time.Second) / opts.Hz),
+		receiver: c.Receiver(),
+		senders:  c.Senders(),
+	}
 	switch opts.Wire {
 	case "", "v2":
 	case "v3":
-		if !rawBackend {
-			return nil, fmt.Errorf("core: wire v3 delta-codes raw point-cloud broadcasts; backend %q is not raw", backend.Name())
+		if _, raw := ep.backend.(fusion.RawBackend); !raw {
+			return nil, fmt.Errorf("core: wire v3 delta-codes raw point-cloud broadcasts; backend %q is not raw", ep.backend.Name())
 		}
 		if opts.Compensate {
 			return nil, fmt.Errorf("core: wire v3 needs an uncompensated episode: compensation re-encodes per receiving frame, so there is no broadcast stream to delta-code")
 		}
-		wireV3 = true
 	default:
 		return nil, fmt.Errorf("core: unknown wire %q (want v2 or v3)", opts.Wire)
 	}
 	if opts.Correct {
-		rb, ok := backend.(fusion.RawBackend)
+		rb, ok := ep.backend.(fusion.RawBackend)
 		if !ok {
-			return nil, fmt.Errorf("core: alignment correction is raw-cloud ICP; backend %q is not raw", backend.Name())
+			return nil, fmt.Errorf("core: alignment correction is raw-cloud ICP; backend %q is not raw", ep.backend.Name())
 		}
 		rb.UseICP = true
-		backend = rb
+		ep.backend = rb
+	}
+	participants := ep.Participants()
+
+	// Localization drift: each participant owns a seeded bounded error
+	// walk over the episode (see Episode.State). Walks are precomputed
+	// sequentially in participant order, so frame workers only ever
+	// index into them.
+	if opts.Drift > 0 {
+		ep.walks = make(map[int][]scene.PoseError, len(participants))
+		for _, p := range participants {
+			ep.walks[p] = scene.DriftWalk(sc.Seed*1000003+int64(p)*7919+11, opts.Drift, opts.Frames)
+		}
 	}
 
 	// Phase 1 — captures: every participant senses at every frame time,
 	// in parallel. Each capture owns its seeded noise stream.
-	participants := append([]int{receiver}, senders...)
-
-	// Localization drift: each participant owns a seeded bounded error
-	// walk over the episode. Only reported GPS/IMU states drift — true
-	// poses keep driving sensing, occlusion, compensation and ground
-	// truth. Walks are precomputed sequentially in participant order, so
-	// frame workers only ever index into them.
-	var walks map[int][]scene.PoseError
-	if opts.Drift > 0 {
-		walks = make(map[int][]scene.PoseError, len(participants))
-		for _, p := range participants {
-			walks[p] = scene.DriftWalk(sc.Seed*1000003+int64(p)*7919+11, opts.Drift, opts.Frames)
-		}
-	}
-	// stateFor is the GPS/IMU state pose p reports at frame k: the true
-	// pose's state plus that frame's drift error, if any.
-	stateFor := func(pose geom.Transform, p, k int) fusion.VehicleState {
-		st := l.stateAt(pose)
-		if walks != nil {
-			e := walks[p][k]
-			st.GPS.X += e.X
-			st.GPS.Y += e.Y
-			st.Yaw += e.Yaw
-		}
-		return st
-	}
 	type capJob struct {
 		pose int
 		t    time.Duration
@@ -411,7 +412,7 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	var jobs []capJob
 	for k := 0; k < opts.Frames; k++ {
 		for _, p := range participants {
-			jobs = append(jobs, capJob{p, at(k)})
+			jobs = append(jobs, capJob{p, ep.at(k)})
 		}
 	}
 	if err := parallel.ForErr(opts.Workers, len(jobs), func(i int) error {
@@ -420,194 +421,17 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		return nil, err
 	}
 
-	// Phase 1.5 — non-raw backends pre-encode every sender capture's
-	// broadcast in parallel: the channel plan below needs the sizes, and
-	// the frame fan-out reuses the cached bytes.
-	det := spod.New(l.detectorConfig())
-	if !rawBackend {
-		var encJobs []capJob
-		for k := 0; k < opts.Frames; k++ {
-			for _, s := range senders {
-				encJobs = append(encJobs, capJob{s, at(k)})
-			}
-		}
-		encScratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, len(encJobs)))
-		if _, err := parallel.MapErrWorker(opts.Workers, len(encJobs), func(w, i int) (struct{}, error) {
-			e := l.capture(encJobs[i].pose, encJobs[i].t)
-			state := stateFor(e.pose, encJobs[i].pose, int(encJobs[i].t/period))
-			_, err := l.payloadFor(e, backend, det, state, encScratches[w])
-			return struct{}{}, err
-		}); err != nil {
-			return nil, err
-		}
+	// Phase 2 — the transport decides what every receiver fuses when.
+	transport := opts.Transport
+	if transport == nil {
+		transport = dsrcTransport{}
+	}
+	d, err := transport.Deliver(ep)
+	if err != nil {
+		return nil, err
 	}
 
-	// Phase 1.6 — wire v3: each sender's captures delta-code as one CPD1
-	// stream in timeline order, keyframes at the interval and deltas
-	// between. Streams are independent per sender, so senders fan out in
-	// parallel; within a stream the encoder state makes frame order
-	// load-bearing, so the inner loop is sequential. Every frame is
-	// decoded back and re-encoded to prove the reconstruction is
-	// byte-identical to the canonical capture encode the fusion phase
-	// consumes: v3 changes payload sizes (and therefore the delivery
-	// timeline), never the fused bytes.
-	var v3sizes [][]int   // [frame][sender slot] broadcast bytes
-	var v3key [][]int     // [sender slot][frame] → keyframe the delta decodes from
-	var v3wire [][][]byte // [sender slot][frame] wire bytes, kept only for the store
-	if wireV3 {
-		v3sizes = make([][]int, opts.Frames)
-		for k := range v3sizes {
-			v3sizes[k] = make([]int, len(senders))
-		}
-		v3key = make([][]int, len(senders))
-		for si := range v3key {
-			v3key[si] = make([]int, opts.Frames)
-		}
-		if opts.Sink != nil {
-			v3wire = make([][][]byte, len(senders))
-			for si := range v3wire {
-				v3wire[si] = make([][]byte, opts.Frames)
-			}
-		}
-		if err := parallel.ForErr(opts.Workers, len(senders), func(si int) error {
-			enc := pointcloud.DeltaEncoder{Interval: opts.KeyframeInterval}
-			var dec pointcloud.DeltaDecoder
-			recon := pointcloud.GetCloud()
-			defer pointcloud.PutCloud(recon)
-			lastKey := 0
-			for k := 0; k < opts.Frames; k++ {
-				e := l.capture(senders[si], at(k))
-				data, key, err := enc.Encode(l.cropFOV(e.scan.Cloud), uint64(k+1))
-				if err != nil {
-					return fmt.Errorf("core: delta-encoding pose %d frame %d: %w", senders[si], k, err)
-				}
-				if key {
-					lastKey = k
-				}
-				v3key[si][k] = lastKey
-				if err := dec.DecodeInto(data, recon); err != nil {
-					return fmt.Errorf("core: reconstructing pose %d frame %d: %w", senders[si], k, err)
-				}
-				canonical, err := pointcloud.EncodeQuantized(recon)
-				if err != nil {
-					return fmt.Errorf("core: re-encoding pose %d frame %d: %w", senders[si], k, err)
-				}
-				if !bytes.Equal(canonical, e.payload) {
-					return fmt.Errorf("core: pose %d frame %d: delta reconstruction diverged from the canonical encode", senders[si], k)
-				}
-				v3sizes[k][si] = len(data)
-				if v3wire != nil {
-					v3wire[si][k] = append([]byte(nil), data...)
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2 — the broadcast timeline on the sim clock. Round j (the
-	// senders' frames captured at t_j) becomes fusable at
-	// t_j + Plan.Ready(); each frame k fuses the newest round ready by
-	// t_k. Ready events are scheduled before fusion events, so a round
-	// landing exactly on a frame boundary is fused that frame. Slots are
-	// planned from the capture encodes: compensation preserves the
-	// point count, and the warp target depends on this very schedule, so
-	// planning from compensated sizes would be circular.
-	sched := episodeScheduler(opts.Hz, opts.Delay)
-	plans := make([]network.Plan, opts.Frames)
-	for j := 0; j < opts.Frames; j++ {
-		sizes := make([]int, len(senders))
-		for si, s := range senders {
-			if wireV3 {
-				sizes[si] = v3sizes[j][si]
-				continue
-			}
-			e := l.capture(s, at(j))
-			payload, err := l.payloadFor(e, backend, det, l.stateAt(e.pose), nil)
-			if err != nil {
-				return nil, err
-			}
-			sizes[si] = len(payload)
-		}
-		plans[j] = sched.Plan(sizes)
-	}
-	clock := &sim.Clock{}
-	available := -1
-	rounds := make([]int, opts.Frames) // frame k → fused round index
-	for j := 0; j < opts.Frames; j++ {
-		j := j
-		clock.Schedule(at(j)+plans[j].Ready(), func(time.Duration) {
-			if j > available {
-				available = j
-			}
-		})
-	}
-	for k := 0; k < opts.Frames; k++ {
-		k := k
-		clock.Schedule(at(k), func(time.Duration) { rounds[k] = available })
-	}
-	for clock.Step() {
-	}
-
-	// Phase 2.5 — the channel has its say. A lossy channel breaks the
-	// round granularity: every slot has its own fate, so availability is
-	// tracked per sender. Sender slot si's frame j is usable at frame k
-	// when its slot was delivered (and, on wire v3, so was the keyframe
-	// its delta decodes from) by t_k; each frame fuses every sender's
-	// newest usable frame, however stale. The lossless path keeps the
-	// round timeline above — which the zero-rate model reproduces
-	// exactly, every DeliveredAt equalling the plan's Ready.
-	lossy := opts.Loss.Enabled()
-	sround := make([][]int, opts.Frames) // frame k → per-sender fused frame (-1 = none)
-	if lossy {
-		lps := make([]network.LossyPlan, opts.Frames)
-		for j := range lps {
-			lps[j] = opts.Loss.Round(int64(j), plans[j])
-		}
-		usableAt := func(j, si int) (time.Duration, bool) {
-			d, ok := lps[j].AvailableAt(si)
-			if !ok {
-				return 0, false
-			}
-			t := at(j) + d
-			if wireV3 {
-				if kj := v3key[si][j]; kj != j {
-					kd, ok := lps[kj].AvailableAt(si)
-					if !ok {
-						// The keyframe this delta decodes from was lost:
-						// the frame arrived but cannot be reconstructed.
-						return 0, false
-					}
-					if kt := at(kj) + kd; kt > t {
-						t = kt
-					}
-				}
-			}
-			return t, true
-		}
-		for k := range sround {
-			sround[k] = make([]int, len(senders))
-			for si := range senders {
-				best := -1
-				for j := 0; j <= k; j++ {
-					if t, ok := usableAt(j, si); ok && t <= at(k) {
-						best = j
-					}
-				}
-				sround[k][si] = best
-			}
-		}
-	} else {
-		for k := range sround {
-			sround[k] = make([]int, len(senders))
-			for si := range senders {
-				sround[k][si] = rounds[k]
-			}
-		}
-	}
-
-	// Phase 3 — frames fan out: sense → compensate → encode → align →
+	// Phase 3 — receiver frames fan out: compensate → encode → align →
 	// merge → detect → score, all pure per-frame work. Each worker owns
 	// one detector scratch shared by its frames' single-shot and fused
 	// passes.
@@ -620,20 +444,21 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		round     store.Round      // populated when opts.Sink != nil
 	}
 	detCfg := l.detectorConfig()
-	scratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, opts.Frames))
-	evals, err := parallel.MapErrWorker(opts.Workers, opts.Frames, func(w, k int) (frameEval, error) {
+	nJobs := len(d.Receivers) * opts.Frames
+	scratches := spod.NewScratches(parallel.WorkerCount(opts.Workers, nJobs))
+	evals, err := parallel.MapErrWorker(opts.Workers, nJobs, func(w, job int) (frameEval, error) {
 		scratch := scratches[w]
-		tk := at(k)
+		receiver, k := d.Receivers[job/opts.Frames], job%opts.Frames
+		round := d.Rounds[k][job/opts.Frames]
+		tk := ep.at(k)
 		snapEval := sc.At(tk)
 		own := l.capture(receiver, tk)
 		ownCloud := l.cropFOV(own.scan.Cloud)
-		recvState := stateFor(own.pose, receiver, k)
+		recvState := ep.State(receiver, k)
 
 		newest := -1
-		for _, j := range sround[k] {
-			if j > newest {
-				newest = j
-			}
+		for _, s := range round.Slots {
+			newest = max(newest, s.Frame)
 		}
 		fe := frameEval{frame: EpisodeFrame{Index: k, At: tk, SenderFrame: newest}}
 		singles := l.singleDetect(own, scratch)
@@ -657,59 +482,62 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 			}
 		} else {
 			fe.frame.Single = EvaluateDetections(snapEval, receiver, nil, singles)
-			fe.frame.RoundLatency = plans[newest].Ready()
-			payloads := make([]fusion.Payload, 0, len(senders))
+			fe.frame.RoundLatency = round.Latency
+			payloads := make([]fusion.Payload, 0, len(round.Slots))
+			covered := []int{receiver}
 			deltaD := 0.0
-			for si, s := range senders {
-				j := sround[k][si]
-				if j < 0 {
+			for _, s := range round.Slots {
+				covered = append(covered, s.Pose)
+				if s.Frame < 0 {
 					// Nothing of this sender's ever cleared the channel;
 					// the receiver fuses the delivered subset without it.
 					continue
 				}
-				tj := at(j)
+				tj := ep.at(s.Frame)
 				if age := tk - tj; age > fe.frame.Staleness {
 					fe.frame.Staleness = age
 				}
-				cap := l.capture(s, tj)
-				// Compensation warps the cloud to this frame's consumption
-				// time, so it must re-encode; the uncompensated broadcast
-				// is exactly the capture's cached encode.
-				payload, err := l.payloadFor(cap, backend, det, stateFor(cap.pose, s, j), scratch)
-				if err != nil {
-					return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s, err)
-				}
-				if opts.Compensate {
-					cloud := CompensateScan(sc, cap.scan, cap.pose, tj, tk)
-					p, err := backend.Encode(fusion.SensorFrame{
-						State: stateFor(cap.pose, s, j), Cloud: l.cropFOV(cloud), Detector: det,
-					}, scratch)
-					if err != nil {
-						return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s, err)
+				cap := l.capture(s.Pose, tj)
+				payload := s.Data
+				if payload == nil {
+					// Compensation warps the cloud to this frame's
+					// consumption time, so it must re-encode; the
+					// uncompensated broadcast is exactly the capture's
+					// cached encode.
+					var err error
+					if payload, err = l.payloadFor(cap, ep.backend, ep.det, s.State, scratch); err != nil {
+						return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s.Pose, err)
 					}
-					payload = p.Data
+					if opts.Compensate {
+						cloud := CompensateScan(sc, cap.scan, cap.pose, tj, tk)
+						p, err := ep.backend.Encode(fusion.SensorFrame{
+							State: s.State, Cloud: l.cropFOV(cloud), Detector: ep.det,
+						}, scratch)
+						if err != nil {
+							return frameEval{}, fmt.Errorf("core: frame %d sender %d: %w", k, s.Pose, err)
+						}
+						payload = p.Data
+					}
 				}
-				if wireV3 {
-					// The wire carried the delta stream; fusion consumes the
-					// canonical reconstruction (verified byte-identical above).
-					fe.frame.PayloadBytes += v3sizes[j][si]
+				if s.WireBytes > 0 {
+					fe.frame.PayloadBytes += s.WireBytes
 				} else {
 					fe.frame.PayloadBytes += len(payload)
 				}
-				payloads = append(payloads, fusion.Payload{SenderID: l.poseLabel(s), State: stateFor(cap.pose, s, j), Data: payload})
+				payloads = append(payloads, fusion.Payload{SenderID: l.poseLabel(s.Pose), State: s.State, Data: payload})
 				if d := cap.pose.T.DistXY(own.pose.T); d > deltaD {
 					deltaD = d
 				}
 			}
 			fe.frame.Senders = len(payloads)
-			fe.frame.Lost = len(senders) - len(payloads)
-			in, err := backend.Fuse(fusion.SensorFrame{State: recvState, Cloud: ownCloud, Detector: det}, payloads)
+			fe.frame.Lost = len(round.Slots) - len(payloads)
+			in, err := ep.backend.Fuse(fusion.SensorFrame{State: recvState, Cloud: ownCloud, Detector: ep.det}, payloads)
 			if err != nil {
 				return frameEval{}, fmt.Errorf("core: frame %d: %w", k, err)
 			}
 			in.MaxDist = deltaD
-			coopDets, _ = in.Detect(l.detectorConfig(), scratch)
-			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, participants, coopDets)
+			coopDets, _ = in.Detect(detCfg, scratch)
+			fe.assoc = EvaluateDetectionsAssoc(snapEval, receiver, covered, coopDets)
 			fe.frame.Coop = fe.assoc.Stats
 			fe.icp = in.ICPCorrections
 			if opts.Sink != nil {
@@ -738,12 +566,13 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 		return nil, err
 	}
 
-	// Phase 4 — the track layer is sequential by nature: frames feed the
-	// tracker in timeline order, and the truth ↔ track join yields the
-	// temporal metrics. Store records and telemetry are emitted from the
-	// same loop — the one place the episode is already in timeline order.
-	// Every metric value derives from sim time and byte counts, and the
-	// telemetry handles are nil-safe, so an unmetered run skips nothing.
+	// Phase 4 — the track layer is sequential by nature: frames feed
+	// each receiver's tracker in timeline order, and the truth ↔ track
+	// join yields the temporal metrics. Store records and telemetry are
+	// emitted from the same loop — the one place the episode is already
+	// in timeline order. Every metric value derives from sim time and
+	// byte counts, and the telemetry handles are nil-safe, so an
+	// unmetered run skips nothing.
 	m := opts.Metrics
 	mFrames := m.Counter("episode_frames_total")
 	mWarmups := m.Counter("episode_warmup_frames_total")
@@ -755,74 +584,89 @@ func (l *EpisodeLab) Run(opts EpisodeOptions) (*EpisodeResult, error) {
 	mStale := m.Histogram("episode_staleness_us", episodeLatencyBuckets...)
 	mICP := m.Histogram("episode_icp_correction_um", episodeICPBuckets...)
 
-	tracker := track.New(track.DefaultConfig())
-	res := &EpisodeResult{Scenario: sc, Case: c}
-	assocFrames := make([]eval.FrameAssoc, 0, opts.Frames)
-	for k, fe := range evals {
-		ids := tracker.Step(fe.frame.At, fe.worldDets)
-		assocFrames = append(assocFrames, fe.assoc.FrameAssoc(ids))
-		res.Frames = append(res.Frames, fe.frame)
-
-		mFrames.Add(1)
-		if fe.frame.SenderFrame < 0 {
-			mWarmups.Add(1)
-		} else {
-			mLatency.Observe(fe.frame.RoundLatency.Microseconds())
-			mStale.Observe(fe.frame.Staleness.Microseconds())
-			mFused.Add(int64(fe.frame.Senders))
-			mLost.Add(int64(fe.frame.Lost))
-			mPayload.Add(int64(fe.frame.PayloadBytes))
-		}
-		mDets.Add(int64(len(fe.dets)))
-		for _, corr := range fe.icp {
-			mICP.Observe(int64(corr * 1e6))
-		}
-
+	trackers := make([]*track.Tracker, len(d.Receivers))
+	assocFrames := make([][]eval.FrameAssoc, len(d.Receivers))
+	res := &EpisodeResult{Scenario: sc, Case: c, Receivers: make([]ReceiverEpisode, len(d.Receivers))}
+	for ri, p := range d.Receivers {
+		trackers[ri] = track.New(track.DefaultConfig())
+		assocFrames[ri] = make([]eval.FrameAssoc, 0, opts.Frames)
+		res.Receivers[ri] = ReceiverEpisode{Pose: p, Frames: make([]EpisodeFrame, 0, opts.Frames)}
+	}
+	for k := 0; k < opts.Frames; k++ {
 		if opts.Sink != nil {
-			// Sender broadcasts first, then the receiver's round, its
+			// Sender broadcasts first, then each receiver's round, its
 			// fused detections and the track states — the order a live
 			// frame happens in. Frame payloads are the wire bytes (the
 			// delta stream on v3, the capture encode otherwise); the
 			// round's payloads are the exact bytes fusion consumed, so
 			// replay stays byte-identical even when compensation
 			// re-encoded per receiving frame.
-			for si, s := range senders {
-				e := l.capture(s, fe.frame.At)
-				wire := e.payload
-				if wireV3 {
-					wire = v3wire[si][k]
-				} else if !rawBackend {
-					var err error
-					if wire, err = l.payloadFor(e, backend, det, stateFor(e.pose, s, k), nil); err != nil {
+			for pi, p := range d.Publishers {
+				var wire []byte
+				if d.Wire != nil {
+					wire = d.Wire[k][pi]
+				}
+				if wire == nil {
+					if wire, err = ep.Payload(p, k); err != nil {
 						return nil, err
 					}
 				}
 				if err := opts.Sink.WriteFrame(store.Frame{
-					Frame: k, Sender: l.poseLabel(s), Seq: uint64(k + 1),
-					State: stateFor(e.pose, s, k), Payload: wire,
+					Frame: k, Sender: l.poseLabel(p), Seq: uint64(k + 1),
+					State: ep.State(p, k), Payload: wire,
 				}); err != nil {
 					return nil, err
 				}
 			}
-			if err := opts.Sink.WriteRound(fe.round); err != nil {
-				return nil, err
+		}
+		for ri := range d.Receivers {
+			fe := evals[ri*opts.Frames+k]
+			ids := trackers[ri].Step(fe.frame.At, fe.worldDets)
+			assocFrames[ri] = append(assocFrames[ri], fe.assoc.FrameAssoc(ids))
+			res.Receivers[ri].Frames = append(res.Receivers[ri].Frames, fe.frame)
+
+			mFrames.Add(1)
+			if fe.frame.SenderFrame < 0 {
+				mWarmups.Add(1)
+			} else {
+				mLatency.Observe(fe.frame.RoundLatency.Microseconds())
+				mStale.Observe(fe.frame.Staleness.Microseconds())
+				mFused.Add(int64(fe.frame.Senders))
+				mLost.Add(int64(fe.frame.Lost))
+				mPayload.Add(int64(fe.frame.PayloadBytes))
 			}
-			if err := opts.Sink.WriteDetections(store.Detections{Frame: k, Receiver: fe.round.Receiver, Dets: fe.dets}); err != nil {
-				return nil, err
+			mDets.Add(int64(len(fe.dets)))
+			for _, corr := range fe.icp {
+				mICP.Observe(int64(corr * 1e6))
 			}
-			live := tracker.Tracks()
-			ts := make([]store.TrackState, len(live))
-			for j, tr := range live {
-				ts[j] = store.TrackState{ID: tr.ID, Box: tr.Box, VelX: tr.Vel.X, VelY: tr.Vel.Y, Hits: tr.Hits, Misses: tr.Misses}
-			}
-			if err := opts.Sink.WriteTracks(store.Tracks{Frame: k, Receiver: fe.round.Receiver, Tracks: ts}); err != nil {
-				return nil, err
+
+			if opts.Sink != nil {
+				if err := opts.Sink.WriteRound(fe.round); err != nil {
+					return nil, err
+				}
+				if err := opts.Sink.WriteDetections(store.Detections{Frame: k, Receiver: fe.round.Receiver, Dets: fe.dets}); err != nil {
+					return nil, err
+				}
+				live := trackers[ri].Tracks()
+				ts := make([]store.TrackState, len(live))
+				for j, tr := range live {
+					ts[j] = store.TrackState{ID: tr.ID, Box: tr.Box, VelX: tr.Vel.X, VelY: tr.Vel.Y, Hits: tr.Hits, Misses: tr.Misses}
+				}
+				if err := opts.Sink.WriteTracks(store.Tracks{Frame: k, Receiver: fe.round.Receiver, Tracks: ts}); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	res.Temporal = eval.Temporal(assocFrames)
-	res.Tracks = len(tracker.Tracks())
-	m.Gauge("episode_tracks_live").Set(int64(res.Tracks))
+	live := 0
+	for ri := range res.Receivers {
+		r := &res.Receivers[ri]
+		r.Temporal = eval.Temporal(assocFrames[ri])
+		r.Tracks = len(trackers[ri].Tracks())
+		live += r.Tracks
+	}
+	res.Frames, res.Temporal, res.Tracks = res.Receivers[0].Frames, res.Receivers[0].Temporal, res.Receivers[0].Tracks
+	m.Gauge("episode_tracks_live").Set(int64(live))
 	return res, nil
 }
 

@@ -281,9 +281,9 @@ func (r *ScenarioRunner) runCase(c scene.CoopCase, opts RunOptions, scratch *spo
 			return nil, fmt.Errorf("case %s: %w", c.Name, err)
 		}
 		p.SenderID = vs.ID
-		out.SenderPayloads = append(out.SenderPayloads, backend.Cost(p))
+		out.SenderPayloads = append(out.SenderPayloads, len(p.Data))
 		out.SenderCloudPoints = append(out.SenderCloudPoints, p.Points)
-		out.PayloadBytes += backend.Cost(p)
+		out.PayloadBytes += len(p.Data)
 		if driftRNG != nil {
 			p.State = fusion.ApplyDrift(p.State, opts.Drift, driftRNG)
 		}

@@ -162,10 +162,9 @@ func PoseVehicle(sc *scene.Scenario, poseIdx int) *Vehicle {
 	return PoseVehicleSeeded(sc, poseIdx, sc.Seed+int64(poseIdx)*997)
 }
 
-// PoseVehicleSeeded is PoseVehicle with an explicit sensing seed.
-// Streaming episodes use it to give each (pose, frame) capture its own
-// noise stream while keeping everything else identical to the runner's
-// vehicles.
+// PoseVehicleSeeded is PoseVehicle with an explicit sensing seed, for
+// callers that give each capture its own noise stream while keeping
+// everything else identical to the runner's vehicles.
 func PoseVehicleSeeded(sc *scene.Scenario, poseIdx int, seed int64) *Vehicle {
 	v := NewVehicle(sc.PoseLabels[poseIdx], sc.LiDAR, PoseState(sc, poseIdx), seed)
 	cfg := spod.DefaultConfig()

@@ -98,7 +98,7 @@ func (v *Vehicle) Detect() ([]spod.Detection, spod.Stats, error) {
 
 // DetectWith is Detect reusing the caller's detector scratch (nil draws
 // from the shared pool). Callers detecting in a loop — the case runner,
-// the episode engine, the hub selftest — hold one scratch per worker.
+// the episode engine — hold one scratch per worker.
 func (v *Vehicle) DetectWith(s *spod.DetectorScratch) ([]spod.Detection, spod.Stats, error) {
 	if v.lastScan.Cloud == nil {
 		return nil, spod.Stats{}, fmt.Errorf("vehicle %s: %w", v.ID, ErrNoScan)

@@ -181,8 +181,8 @@ type deltaState struct {
 
 // Hub is the fleet server. All methods are safe for concurrent use; the
 // session loops in session.go are thin wrappers over Publish and
-// AssembleRound, so in-process callers (tests, benchmarks, the selftest
-// harness) exercise the same logic as TCP clients.
+// AssembleRound, so in-process callers (tests, benchmarks) exercise the
+// same logic as TCP clients.
 type Hub struct {
 	cfg Config
 
@@ -206,6 +206,11 @@ type Hub struct {
 
 	httpMu  sync.Mutex
 	httpSrv *httpServer
+
+	// onRound, when set before serving, sees every assembled round as
+	// served — how the episode transport labels rounds with the rungs
+	// and publish sequences the session protocol does not carry.
+	onRound func(requester string, r Round)
 }
 
 // ringCap bounds the in-memory recent-round buffer /rounds serves.
@@ -358,10 +363,13 @@ type RoundFrame struct {
 	// the requester's budget when one was advertised.
 	Payload []byte
 	// Category, Points and Downsampled describe the payload-selection
-	// rung that fit (roi.SelectPayload).
+	// rung that fit (roi.SelectPayload), and Seq is the served frame's
+	// publish sequence. All four are hub-side: rounds received over a
+	// Client session leave them zero.
 	Category    roi.Category
 	Points      int
 	Downsampled bool
+	Seq         uint64
 	// Stale marks a frame older than the requester's freshness floor: the
 	// sender's newer publish was lost, so this round serves (and flags)
 	// its last delivered frame.
@@ -463,7 +471,7 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 	r := Round{Frames: make([]RoundFrame, 0, len(cands))}
 	sizes := make([]int, 0, len(cands))
 	for _, c := range cands {
-		rf := RoundFrame{Sender: c.id, State: c.frame.state}
+		rf := RoundFrame{Sender: c.id, State: c.frame.state, Seq: c.frame.seq}
 		if floor > 0 && c.frame.seq < floor {
 			rf.Stale = true
 			r.Stale = append(r.Stale, c.id)
@@ -501,6 +509,9 @@ func (h *Hub) assembleRound(requester string, at geom.Vec3, k int, budgetBps uin
 	r.Plan = h.cfg.Scheduler.Plan(sizes)
 	r.Seq = h.rounds.Add(1)
 	h.observeRound(requester, r, feature)
+	if h.onRound != nil {
+		h.onRound(requester, r)
+	}
 	return r, nil
 }
 

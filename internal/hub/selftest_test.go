@@ -3,11 +3,16 @@ package hub
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"cooper/internal/core"
 	"cooper/internal/fusion"
 	"cooper/internal/network"
+	"cooper/internal/roi"
+	"cooper/internal/scene"
+	"cooper/internal/store"
 )
 
 // TestSelfTestDeterministic is the acceptance property behind
@@ -16,7 +21,7 @@ import (
 func TestSelfTestDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		var buf bytes.Buffer
-		err := SelfTest(&buf, SelfTestOptions{Fleet: 3, Seed: 5, Workers: workers})
+		err := SelfTest(&buf, SelfTestOptions{Scene: scene.GenParams{Fleet: 3, Seed: 5}, Episode: core.EpisodeOptions{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +51,7 @@ func TestSelfTestDeterministic(t *testing.T) {
 func TestSelfTestStreaming(t *testing.T) {
 	run := func(workers int) string {
 		var buf bytes.Buffer
-		err := SelfTest(&buf, SelfTestOptions{Fleet: 2, Seed: 5, Workers: workers, Frames: 3, Hz: 2})
+		err := SelfTest(&buf, SelfTestOptions{Scene: scene.GenParams{Fleet: 2, Seed: 5}, Episode: core.EpisodeOptions{Workers: workers, Frames: 3, Hz: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +75,7 @@ func TestSelfTestStreaming(t *testing.T) {
 func TestSelfTestWireV3(t *testing.T) {
 	run := func(wire string, workers int) string {
 		var buf bytes.Buffer
-		err := SelfTest(&buf, SelfTestOptions{Fleet: 3, Seed: 5, Workers: workers, Frames: 4, Hz: 2, Wire: wire})
+		err := SelfTest(&buf, SelfTestOptions{Scene: scene.GenParams{Fleet: 3, Seed: 5}, Episode: core.EpisodeOptions{Workers: workers, Frames: 4, Hz: 2, Wire: wire}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +108,10 @@ func TestSelfTestWireV3(t *testing.T) {
 // TestSelfTestWireValidation: unknown wire names and the v3+feature
 // combination are rejected up front.
 func TestSelfTestWireValidation(t *testing.T) {
-	if err := SelfTest(nil, SelfTestOptions{Fleet: 2, Seed: 1, Wire: "v9"}); err == nil {
+	if err := SelfTest(nil, SelfTestOptions{Scene: scene.GenParams{Fleet: 2, Seed: 1}, Episode: core.EpisodeOptions{Wire: "v9"}}); err == nil {
 		t.Error("unknown wire accepted")
 	}
-	if err := SelfTest(nil, SelfTestOptions{Fleet: 2, Seed: 1, Wire: "v3", Backend: fusion.FeatureBackend{}}); err == nil {
+	if err := SelfTest(nil, SelfTestOptions{Scene: scene.GenParams{Fleet: 2, Seed: 1}, Episode: core.EpisodeOptions{Wire: "v3", Backend: fusion.FeatureBackend{}}}); err == nil {
 		t.Error("v3 wire with feature backend accepted")
 	}
 }
@@ -115,10 +120,10 @@ func TestSelfTestWireValidation(t *testing.T) {
 // report must show smaller rounds than the uncapped one.
 func TestSelfTestBudget(t *testing.T) {
 	var uncapped, capped bytes.Buffer
-	if err := SelfTest(&uncapped, SelfTestOptions{Fleet: 2, Seed: 3, Workers: 1}); err != nil {
+	if err := SelfTest(&uncapped, SelfTestOptions{Scene: scene.GenParams{Fleet: 2, Seed: 3}, Episode: core.EpisodeOptions{Workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := SelfTest(&capped, SelfTestOptions{Fleet: 2, Seed: 3, Workers: 1, BandwidthMbps: 0.5}); err != nil {
+	if err := SelfTest(&capped, SelfTestOptions{Scene: scene.GenParams{Fleet: 2, Seed: 3}, Episode: core.EpisodeOptions{Workers: 1}, BandwidthMbps: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if capped.String() == uncapped.String() {
@@ -130,10 +135,10 @@ func TestSelfTestBudget(t *testing.T) {
 }
 
 func TestSelfTestValidation(t *testing.T) {
-	if err := SelfTest(nil, SelfTestOptions{Fleet: 1, Seed: 1}); err == nil {
+	if err := SelfTest(nil, SelfTestOptions{Scene: scene.GenParams{Fleet: 1, Seed: 1}}); err == nil {
 		t.Error("fleet of 1 accepted")
 	}
-	if err := SelfTest(nil, SelfTestOptions{Fleet: 4, Seed: 1, Family: "nope"}); err == nil {
+	if err := SelfTest(nil, SelfTestOptions{Scene: scene.GenParams{Fleet: 4, Seed: 1, Family: "nope"}}); err == nil {
 		t.Error("unknown family accepted")
 	}
 }
@@ -146,9 +151,9 @@ func TestSelfTestValidation(t *testing.T) {
 func TestSelfTestDegraded(t *testing.T) {
 	run := func(workers int, loss float64, drift float64) string {
 		var buf bytes.Buffer
-		opts := SelfTestOptions{Fleet: 3, Seed: 5, Workers: workers, Frames: 4, Hz: 2, Drift: drift}
+		opts := SelfTestOptions{Scene: scene.GenParams{Fleet: 3, Seed: 5}, Episode: core.EpisodeOptions{Workers: workers, Frames: 4, Hz: 2, Drift: drift}}
 		if loss > 0 {
-			opts.Loss = network.LossModel{DropRate: loss, Seed: 9}
+			opts.Episode.Loss = network.LossModel{DropRate: loss, Seed: 9}
 		}
 		if err := SelfTest(&buf, opts); err != nil {
 			t.Fatal(err)
@@ -169,5 +174,123 @@ func TestSelfTestDegraded(t *testing.T) {
 	}
 	if !strings.Contains(run(1, 0, 0.6), "drift=0.6m") {
 		t.Error("drift-only report missing its header clause")
+	}
+}
+
+// TestSelfTestRungLabelsMatchServedRounds pins each round line's ladder
+// labels to the rungs the hub actually served. Under loss a round can
+// carry fewer than k senders — a vehicle whose every publish was lost is
+// not cached — and the per-sender budget then splits over the senders
+// served, not over k. The oracle replays the stored publishes into a
+// fresh hub under the same loss model and assembles each receiver's
+// round again.
+func TestSelfTestRungLabelsMatchServedRounds(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		mbps float64
+	}{{1, 0.5}, {3, 2}, {4, 0.5}} {
+		loss := network.DefaultLoss(0.4, tc.seed)
+		var report, log bytes.Buffer
+		ew, err := store.NewEpisodeWriter(&log, store.Header{Label: "selftest", Backend: "raw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := SelfTestOptions{Scene: scene.GenParams{Fleet: 3, Seed: tc.seed}, Episode: core.EpisodeOptions{Workers: 1, Loss: loss, Sink: ew}, BandwidthMbps: tc.mbps}
+		if err := SelfTest(&report, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := ew.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ep, err := store.ReadEpisode(&log)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		oracle := New(Config{MaxSenders: 2, Loss: loss})
+		for _, f := range ep.Frames {
+			if _, err := oracle.Publish(f.Sender, f.State, f.Payload, f.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := uint64(tc.mbps * 1e6)
+		lines := strings.Split(report.String(), "\n")
+		for _, r := range ep.Rounds {
+			round, err := oracle.AssembleRoundSince(r.Receiver, r.State.GPS, 2, budget, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(round.Frames) != len(r.Payloads) {
+				t.Fatalf("seed %d: %s fused %d senders, the hub serves %d", tc.seed, r.Receiver, len(r.Payloads), len(round.Frames))
+			}
+			cats := map[roi.Category]int{}
+			down := 0
+			for i, f := range round.Frames {
+				if !bytes.Equal(f.Payload, r.Payloads[i].Data) {
+					t.Fatalf("seed %d: %s's slot %d differs from the oracle's round", tc.seed, r.Receiver, i)
+				}
+				cats[f.Category]++
+				if f.Downsampled {
+					down++
+				}
+			}
+			var want []string
+			for _, cat := range []roi.Category{roi.CategoryFullFrame, roi.CategoryFrontFOV, roi.CategoryLeadView, roi.CategoryFeature} {
+				if n := cats[cat]; n > 0 {
+					want = append(want, fmt.Sprintf("%d× cat%d", n, cat))
+				}
+			}
+			label := strings.Join(want, ", ")
+			if down > 0 {
+				label += fmt.Sprintf(" (%d downsampled)", down)
+			}
+			label = "| " + label + " | "
+			var line string
+			for _, l := range lines {
+				if strings.HasPrefix(l, "round "+r.Receiver+":") {
+					line = l
+				}
+			}
+			if !strings.Contains(line, label) {
+				t.Errorf("seed %d at %g Mbit/s: %s's round is labelled\n  %s\nbut the hub served %q", tc.seed, tc.mbps, r.Receiver, line, label)
+			}
+		}
+	}
+}
+
+// TestSelfTestEpisodeReplays records a hub-transported episode — wire
+// v3, publish loss and drift — and replays the log: every stored round
+// must re-fuse to its recorded detections byte for byte.
+func TestSelfTestEpisodeReplays(t *testing.T) {
+	var log bytes.Buffer
+	ew, err := store.NewEpisodeWriter(&log, store.Header{Label: "selftest", Backend: "raw", Wire: "v3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SelfTestOptions{
+		Scene: scene.GenParams{Fleet: 3, Seed: 5},
+		Episode: core.EpisodeOptions{
+			Frames: 3, Wire: "v3", Loss: network.DefaultLoss(0.3, 5), Drift: 0.5, Workers: 2, Sink: ew,
+		},
+	}
+	if err := SelfTest(io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := store.ReadEpisode(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ep.Frames) != 9 || len(ep.Rounds) != 9 {
+		t.Fatalf("log holds %d frames and %d rounds, want 9 of each", len(ep.Frames), len(ep.Rounds))
+	}
+	_, stats, err := store.ReplayEpisode(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Identical() || stats.Matched != 9 {
+		t.Fatalf("replay: %v", stats)
 	}
 }
